@@ -7,7 +7,7 @@
 //! [`CostIntegrator`]. There is no second copy of the kernel loop math
 //! anywhere: analytic and cycle-level agree by construction, and the
 //! `ir_equivalence` property tests pin the integrator against the
-//! interpreter.
+//! cycle-level executor.
 
 use spikestream_energy::Activity;
 use spikestream_ir::ProgramCost;
@@ -17,14 +17,14 @@ use spikestream_snn::{AerEvent, Layer, LayerKind};
 use super::{ExecutionBackend, LayerSample, SampleContext};
 
 /// Symbolic layer-timing backend (fast; used for full-batch figure runs).
-/// Layer runtimes come from integrating the cost model over the same
-/// stream programs the cycle-level backend interprets; spike counts and
+/// Layer runtimes come from integrating the cost model over stream
+/// programs from the emitters the cycle-level backend executes; spike counts and
 /// footprints are the expected values implied by each sample's jittered
 /// firing rate. In temporal mode the backend integrates one program per
 /// `(timestep, layer)` from the temporal sparsity model's expected
 /// per-step rates — the per-step programs carry the same membrane
 /// load/store DMA phases and sparsity-scaled stream lengths the
-/// cycle-level backend interprets from real spikes.
+/// cycle-level backend executes from real spikes.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AnalyticBackend;
 

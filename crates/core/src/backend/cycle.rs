@@ -10,11 +10,12 @@ use spikestream_snn::{
 
 use super::{ExecutionBackend, LayerSample, SampleContext};
 
-/// Cycle-level backend: lowers every layer to its stream program through
-/// the [`LayerExecutor`](spikestream_kernels::LayerExecutor) kernel
-/// dispatch and interprets the programs on one reused
-/// [`ClusterModel`] (slower than the analytic backend; used for validation
-/// and small batches). [`ClusterModel::finish_phase`] resets the cores and
+/// Cycle-level backend: streams every layer's exact emitter through the
+/// [`LayerExecutor`](spikestream_kernels::LayerExecutor) kernel dispatch
+/// into one reused [`ClusterModel`], which executes each work item as soon
+/// as it is emitted — no layer is ever materialized as a whole stream
+/// program (slower than the analytic backend; used for validation and
+/// small batches). [`ClusterModel::finish_phase`] resets the cores and
 /// the DMA engine between layers while the instruction cache stays warm —
 /// kernels remain resident across layers, exactly as on the real cluster.
 /// One [`LayerScratch`] is likewise reused across the layers of the sample.

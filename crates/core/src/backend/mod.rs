@@ -12,14 +12,14 @@
 //! bit-identical to a sequential run).
 //!
 //! Two backends ship with the crate, mirroring the two timing models of
-//! the paper's evaluation. Both consume the *same* stream programs
-//! emitted by the kernels (`spikestream-ir`):
+//! the paper's evaluation. Both consume stream programs from the *same*
+//! kernel emitters (`spikestream-ir`):
 //!
 //! * [`AnalyticBackend`] — integrates the cost model over symbolic
 //!   lowerings, fast enough for full-batch figure sweeps;
-//! * [`CycleLevelBackend`] — interprets exact lowerings on the
-//!   trace-driven cluster simulation behind a [`LayerExecutor`], used
-//!   for validation.
+//! * [`CycleLevelBackend`] — streams exact lowerings item by item into
+//!   the trace-driven cluster simulation behind a [`LayerExecutor`],
+//!   used for validation.
 //!
 //! Third-party backends (accelerator models, event-driven simulators, …)
 //! implement the same trait and either bind into a plan at compile time

@@ -15,12 +15,15 @@
 //!   loops, and SSR-fed FREP stream operations
 //!   (`Stream{pattern, ssr, op, format, reps}`).
 //!
-//! Both execution backends consume the *same* program:
+//! Both execution backends consume the output of the *same* emitters:
 //!
-//! * the cycle-level backend interprets it on the `snitch-sim` cluster model
-//!   (`snitch_sim::execute_program`), and
+//! * the cycle-level backend has an exact emitter write into the
+//!   `snitch-sim` cluster's executor (`snitch_sim::ClusterExecutor`, one
+//!   [`ProgramSink`]), which runs every work item as soon as it is
+//!   emitted, and
 //! * the analytic backend integrates the [`CostModel`](snitch_arch::CostModel)
-//!   over it with the [`CostIntegrator`],
+//!   over a collected program with the [`CostIntegrator`] ([`StreamProgram`]
+//!   is the collecting [`ProgramSink`]),
 //!
 //! so the two backends agree by construction: instruction, FLOP and
 //! DMA-byte totals are *exactly* equal on any concrete (non-symbolic)
@@ -37,7 +40,6 @@
 //!   may be fractional. Symbolic programs integrate in `O(program size)`
 //!   independent of the layer's data, which is what keeps the analytic
 //!   backend fast enough for full-batch figure sweeps.
-
 //!
 //! Serving builds on one more concept: symbolic programs are *cached and
 //! re-bound* rather than re-emitted per sample. The [`cache`] module holds
@@ -56,6 +58,6 @@ pub use cache::{
 };
 pub use cost::{CostIntegrator, ProgramCost};
 pub use program::{
-    CodeRegion, ComputePhase, DmaPhase, IndexStream, KernelOp, Phase, StreamProgram, StreamSpec,
-    WorkItem,
+    CodeRegion, ComputePhase, DmaPhase, IndexStream, KernelOp, Phase, ProgramSink, StreamProgram,
+    StreamSpec, WorkItem,
 };

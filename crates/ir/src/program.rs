@@ -16,8 +16,13 @@
 //! Repetition counts are `f64` so the same emitter can lower either a
 //! concrete input (integral counts, resolved gather indices) or an expected
 //! firing rate (fractional counts, [`IndexStream::Expected`]). The
-//! cycle-level interpreter only accepts the former; symbolic programs exist
+//! cycle-level executor only accepts the former; symbolic programs exist
 //! for the analytic cost integration.
+//!
+//! Exact emitters do not build a [`StreamProgram`] directly: they write
+//! into a [`ProgramSink`], phase by phase and one work item at a time.
+//! `StreamProgram` is the collecting sink; the cycle-level simulator's
+//! executor is the other one, and it runs each item as it arrives.
 
 use serde::{Deserialize, Serialize};
 
@@ -406,6 +411,59 @@ impl StreamProgram {
             })
             .sum()
     }
+
+    /// The compute phase opened last by [`ProgramSink::begin_compute`].
+    fn open_compute(&mut self) -> &mut ComputePhase {
+        match self.phases.last_mut() {
+            Some(Phase::Compute(c)) => c,
+            _ => panic!("work items are emitted inside a compute phase"),
+        }
+    }
+}
+
+/// The destination of an exact emitter, fed in program order: DMA phases,
+/// then a compute phase — its code regions, its work items one at a time,
+/// its end — then more DMA phases.
+///
+/// Every exact emitter has one body written against this trait, and the
+/// sink decides what an emitted item becomes. [`StreamProgram`] collects
+/// the whole program (what `lower()` returns and the cost integrator
+/// prices); the cycle-level simulator's executor runs each item on the
+/// cluster as soon as it is complete and reuses the item's buffer, so a
+/// simulated layer never exists as a whole program.
+pub trait ProgramSink {
+    /// One DMA tile transfer.
+    fn dma(&mut self, phase: DmaPhase);
+    /// Open a compute phase whose items fetch `code`.
+    fn begin_compute(&mut self, code: &[CodeRegion]);
+    /// The empty op buffer of the next single-instance work item.
+    fn begin_item(&mut self) -> &mut Vec<KernelOp>;
+    /// The item begun last is complete.
+    fn end_item(&mut self);
+    /// Close the open compute phase (its implicit end-of-phase barrier).
+    fn end_compute(&mut self);
+}
+
+impl ProgramSink for StreamProgram {
+    fn dma(&mut self, phase: DmaPhase) {
+        self.push(Phase::Dma(phase));
+    }
+
+    fn begin_compute(&mut self, code: &[CodeRegion]) {
+        self.push(Phase::Compute(ComputePhase { code: code.to_vec(), items: Vec::new() }));
+    }
+
+    fn begin_item(&mut self) -> &mut Vec<KernelOp> {
+        let items = &mut self.open_compute().items;
+        // Exact work items routinely reach dozens of ops; starting with
+        // real capacity keeps the collected item from growing step by step.
+        items.push(WorkItem::new(Vec::with_capacity(96)));
+        &mut items.last_mut().expect("just pushed").ops
+    }
+
+    fn end_item(&mut self) {}
+
+    fn end_compute(&mut self) {}
 }
 
 #[cfg(test)]
@@ -486,6 +544,32 @@ mod tests {
         }));
         assert!(p.is_symbolic());
         assert_eq!(p.work_items(), 17.0);
+    }
+
+    #[test]
+    fn collecting_sink_builds_the_program_in_emission_order() {
+        let mut p = StreamProgram::new("sink", FpFormat::Fp16);
+        let code = [CodeRegion { id: 7, bytes: 256 }];
+        p.dma(DmaPhase::contiguous(DmaDirection::In, 64, false));
+        p.begin_compute(&code);
+        for n in 1..=2 {
+            p.begin_item().extend((0..n).map(|_| KernelOp::alu()));
+            p.end_item();
+        }
+        p.end_compute();
+        p.dma(DmaPhase::contiguous(DmaDirection::Out, 32, false));
+
+        let mut expected = StreamProgram::new("sink", FpFormat::Fp16);
+        expected.push(Phase::Dma(DmaPhase::contiguous(DmaDirection::In, 64, false)));
+        expected.push(Phase::Compute(ComputePhase {
+            code: code.to_vec(),
+            items: vec![
+                WorkItem::new(vec![KernelOp::alu()]),
+                WorkItem::new(vec![KernelOp::alu(), KernelOp::alu()]),
+            ],
+        }));
+        expected.push(Phase::Dma(DmaPhase::contiguous(DmaDirection::Out, 32, false)));
+        assert_eq!(p, expected);
     }
 
     #[test]

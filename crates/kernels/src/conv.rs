@@ -17,17 +17,20 @@
 //!   weights while an FREP hardware loop keeps the FPU accumulating, so
 //!   the integer core merely sets up the next stream.
 //!
-//! The kernel is an *emitter*: [`ConvKernel::lower`] turns one layer
-//! invocation into a [`StreamProgram`] (computing the functional results
-//! along the way) and [`ConvKernel::lower_symbolic`] emits the same
+//! The kernel is an *emitter* with one exact emit body, written against a
+//! [`ProgramSink`] and computing the functional results along the way. The
+//! entry points differ only in the sink they pass: [`ConvKernel::lower`]
+//! collects the layer invocation into a [`StreamProgram`], while
+//! [`ConvKernel::run`] streams it into the cluster model, which executes
+//! each receptive field's work item as soon as it is emitted — no
+//! program is built. [`ConvKernel::lower_symbolic`] emits the same
 //! structure from expected firing rates for the analytic backend.
-//! [`ConvKernel::run`] is lower-then-interpret on the cluster model.
 
 use snitch_arch::fp::FpFormat;
 use snitch_arch::ClusterConfig;
-use snitch_sim::{execute_program, ClusterModel};
+use snitch_sim::ClusterModel;
 use spikestream_ir::{
-    CodeRegion, ComputePhase, IndexStream, KernelOp, Phase, StreamProgram, WorkItem,
+    CodeRegion, ComputePhase, IndexStream, KernelOp, Phase, ProgramSink, StreamProgram, WorkItem,
 };
 use spikestream_snn::compress::INDEX_BYTES;
 use spikestream_snn::reference::max_pool_2x2;
@@ -119,16 +122,17 @@ impl ConvKernel {
     }
 
     /// The instruction-cache regions this kernel's programs fetch.
-    fn code_regions(&self) -> Vec<CodeRegion> {
+    fn code_regions(&self) -> [CodeRegion; 2] {
         let region = match self.variant {
             KernelVariant::Baseline => CODE_REGION_CONV_BASELINE,
             KernelVariant::SpikeStream => CODE_REGION_CONV_SPIKESTREAM,
         };
-        vec![region, CODE_REGION_ACTIVATION]
+        [region, CODE_REGION_ACTIVATION]
     }
 
-    /// Run one convolutional layer on the cluster: lower it to a stream
-    /// program and interpret that program on the timing model.
+    /// Run one convolutional layer on the cluster: the exact emitter writes
+    /// straight into the cluster's executor, which runs each receptive
+    /// field's work item as soon as it is emitted.
     ///
     /// `input` must be the compressed, padded ifmap of the layer and
     /// `state` the dense membrane state of its output neurons. The call
@@ -147,9 +151,9 @@ impl ConvKernel {
         input: &CompressedIfmap,
         state: &mut NeuronState,
     ) -> ConvKernelOutput {
-        let (program, output) = self.lower(cluster.config(), layer, input, state);
-        execute_program(cluster, &program);
-        output
+        emit::on_cluster(cluster, self.format, &mut Vec::new(), |config, sink| {
+            self.emit(config, layer, input, state, sink)
+        })
     }
 
     /// Lower one layer invocation into its exact stream program, computing
@@ -166,6 +170,22 @@ impl ConvKernel {
         input: &CompressedIfmap,
         state: &mut NeuronState,
     ) -> (StreamProgram, ConvKernelOutput) {
+        let mut program = StreamProgram::new(&layer.name, self.format);
+        let output = self.emit(config, layer, input, state, &mut program);
+        (program, output)
+    }
+
+    /// The exact emitter behind [`ConvKernel::run`] and [`ConvKernel::lower`]:
+    /// one work item per receptive field, written into `sink`, with the
+    /// functional results computed along the way.
+    pub(crate) fn emit(
+        &self,
+        config: &ClusterConfig,
+        layer: &Layer,
+        input: &CompressedIfmap,
+        state: &mut NeuronState,
+        sink: &mut impl ProgramSink,
+    ) -> ConvKernelOutput {
         let LayerKind::Conv(spec) = &layer.kind else {
             panic!("ConvKernel requires a convolutional layer");
         };
@@ -193,24 +213,21 @@ impl ConvKernel {
             spm_bytes: config.spm_bytes.max(1),
         };
 
-        let mut program = StreamProgram::new(&layer.name, self.format);
         for dma in plan.dma_in_phases() {
-            program.push(Phase::Dma(dma));
+            sink.dma(dma);
         }
 
         let mut currents = Tensor3::zeros(out_shape);
         let mut spikes = SpikeMap::silent(out_shape);
-        let mut items = Vec::with_capacity(out_shape.h * out_shape.w);
         // Weights are static across the layer: round them to the storage
         // format once instead of per (spike, lane) inside the RF loop.
         let qweights: Vec<f32> = layer.weights.iter().map(|&w| self.format.quantize(w)).collect();
         let mut rf_active: Vec<&[u16]> = Vec::with_capacity(spec.kh * spec.kw);
         let mut rf_indices: Vec<IndexStream> = Vec::with_capacity(spec.kh * spec.kw);
 
+        sink.begin_compute(&self.code_regions());
         for oh in 0..out_shape.h {
             for ow in 0..out_shape.w {
-                let mut ops = emit::claim();
-
                 // Active input channels at every filter position of this RF,
                 // plus one shared gather-index list per position (every SIMD
                 // group streams through the same indices, so the program
@@ -227,9 +244,11 @@ impl ConvKernel {
                         .map(|active| IndexStream::exact(active.iter().map(|&c| c as u32))),
                 );
 
+                let ops = sink.begin_item();
+                emit::claim(ops);
                 for g in 0..groups {
                     self.lower_group(
-                        &mut ops,
+                        ops,
                         layer,
                         spec,
                         input,
@@ -245,17 +264,17 @@ impl ConvKernel {
                         state,
                     );
                 }
-                items.push(WorkItem::new(ops));
+                sink.end_item();
             }
         }
-        program.push(Phase::Compute(ComputePhase { code: self.code_regions(), items }));
+        sink.end_compute();
         for dma in plan.dma_out_phases() {
-            program.push(Phase::Dma(dma));
+            sink.dma(dma);
         }
 
         let output = if spec.pool { max_pool_2x2(&spikes) } else { spikes.clone() };
         let compressed = CompressedIfmap::from_spike_map(&output);
-        (program, ConvKernelOutput { currents, spikes, output, compressed })
+        ConvKernelOutput { currents, spikes, output, compressed }
     }
 
     /// Expected stream length of one SpVA under `input_rate`: the active
@@ -356,10 +375,11 @@ impl ConvKernel {
 
         // ... inside one representative receptive field, replicated over
         // every output position.
-        let mut ops = emit::claim();
+        let mut ops = Vec::new();
+        emit::claim(&mut ops);
         ops.push(KernelOp::Loop { body: group, reps: groups as f64 });
         program.push(Phase::Compute(ComputePhase {
-            code: self.code_regions(),
+            code: self.code_regions().to_vec(),
             items: vec![WorkItem::replicated((out.h * out.w) as f64, ops)],
         }));
         for dma in plan.dma_out_phases() {
@@ -370,7 +390,6 @@ impl ConvKernel {
 
     /// Emit one SIMD output-channel group of one receptive field, updating
     /// the functional state.
-    #[allow(clippy::too_many_arguments)]
     #[allow(clippy::too_many_arguments)]
     fn lower_group(
         &self,
@@ -462,6 +481,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use snitch_arch::{ClusterConfig, CostModel};
+    use snitch_sim::execute_program;
     use spikestream_ir::CostIntegrator;
     use spikestream_snn::neuron::LifParams;
     use spikestream_snn::tensor::TensorShape;

@@ -8,16 +8,19 @@
 //! two *affine* stream registers (one for the input row, one for the
 //! weights); the baseline executes the same matmul as a scalar SIMD loop.
 //!
-//! Like the sparse kernels, this kernel is an emitter: it lowers the layer
-//! into a [`StreamProgram`] (exactly, or symbolically from expected rates)
-//! and [`DenseEncodingKernel::run`] interprets that program.
+//! Like the sparse kernels, this kernel is an emitter with one exact emit
+//! body written against a [`ProgramSink`]: [`DenseEncodingKernel::lower`]
+//! collects it into a [`StreamProgram`], [`DenseEncodingKernel::run`]
+//! streams it into the cluster model item by item, and
+//! [`DenseEncodingKernel::lower_symbolic`] emits the same structure from
+//! expected rates.
 
 use snitch_arch::fp::FpFormat;
 use snitch_arch::ClusterConfig;
 use snitch_mem::dma::DmaDirection;
-use snitch_sim::{execute_program, ClusterModel};
+use snitch_sim::ClusterModel;
 use spikestream_ir::{
-    CodeRegion, ComputePhase, DmaPhase, KernelOp, Phase, StreamProgram, WorkItem,
+    CodeRegion, ComputePhase, DmaPhase, KernelOp, Phase, ProgramSink, StreamProgram, WorkItem,
 };
 use spikestream_snn::reference::max_pool_2x2;
 use spikestream_snn::{
@@ -67,15 +70,15 @@ impl DenseEncodingKernel {
         self.format
     }
 
-    fn code_regions(&self) -> Vec<CodeRegion> {
-        let region = match self.variant {
+    fn code_regions(&self) -> [CodeRegion; 1] {
+        [match self.variant {
             KernelVariant::Baseline => CODE_REGION_DENSE_BASELINE,
             KernelVariant::SpikeStream => CODE_REGION_DENSE_SPIKESTREAM,
-        };
-        vec![region]
+        }]
     }
 
-    /// Run the spike-encoding layer on the cluster (lower + interpret).
+    /// Run the spike-encoding layer on the cluster, executing each output
+    /// position's work item as soon as it is emitted.
     ///
     /// `image` must be the padded input image in HWC layout.
     ///
@@ -90,9 +93,9 @@ impl DenseEncodingKernel {
         image: &Tensor3,
         state: &mut NeuronState,
     ) -> DenseKernelOutput {
-        let (program, output) = self.lower(cluster.config(), layer, image, state);
-        execute_program(cluster, &program);
-        output
+        emit::on_cluster(cluster, self.format, &mut Vec::new(), |config, sink| {
+            self.emit(config, layer, image, state, sink)
+        })
     }
 
     /// Lower one spike-encoding invocation into its exact stream program,
@@ -108,6 +111,23 @@ impl DenseEncodingKernel {
         image: &Tensor3,
         state: &mut NeuronState,
     ) -> (StreamProgram, DenseKernelOutput) {
+        let mut program = StreamProgram::new(&layer.name, self.format);
+        let output = self.emit(config, layer, image, state, &mut program);
+        (program, output)
+    }
+
+    /// The exact emitter behind [`DenseEncodingKernel::run`] and
+    /// [`DenseEncodingKernel::lower`]: one work item per output position,
+    /// written into `sink`, with the functional results computed along the
+    /// way.
+    pub(crate) fn emit(
+        &self,
+        config: &ClusterConfig,
+        layer: &Layer,
+        image: &Tensor3,
+        state: &mut NeuronState,
+        sink: &mut impl ProgramSink,
+    ) -> DenseKernelOutput {
         let LayerKind::Conv(spec) = &layer.kind else {
             panic!("DenseEncodingKernel requires a convolutional layer");
         };
@@ -128,17 +148,16 @@ impl DenseEncodingKernel {
             0,
             layer.neuron.state_vars(),
         );
-        let mut program = StreamProgram::new(&layer.name, self.format);
         for dma in plan.dma_in_phases() {
-            program.push(Phase::Dma(dma));
+            sink.dma(dma);
         }
         let row_bytes = (spec.kw * spec.input.c * 4) as u64;
-        program.push(Phase::Dma(DmaPhase::strided_2d(
+        sink.dma(DmaPhase::strided_2d(
             DmaDirection::In,
             row_bytes,
             (out_shape.h * spec.kh) as u64,
             false,
-        )));
+        ));
 
         let weights_base = plan.weights.base;
         let input_base = plan.ifmap_idcs.base;
@@ -148,12 +167,12 @@ impl DenseEncodingKernel {
 
         let mut currents = Tensor3::zeros(out_shape);
         let mut spikes = SpikeMap::silent(out_shape);
-        let mut items = Vec::with_capacity(out_shape.h * out_shape.w);
         // Weights are static across the layer: round them to the storage
         // format once instead of per (pixel, lane) in the position loop.
         let qweights: Vec<f32> = layer.weights.iter().map(|&w| self.format.quantize(w)).collect();
         let mut acc = vec![0.0f32; spec.out_channels];
 
+        sink.begin_compute(&self.code_regions());
         for oh in 0..out_shape.h {
             for ow in 0..out_shape.w {
                 // Functional dot product for every output channel of this
@@ -182,10 +201,11 @@ impl DenseEncodingKernel {
                     currents.set(oh, ow, co, v);
                 }
 
-                let mut ops = emit::claim();
+                let ops = sink.begin_item();
+                emit::claim(ops);
                 for g in 0..groups {
                     // Timing of the dot product.
-                    emit::model_group_prologue(&mut ops, &layer.neuron, state_base, u_base);
+                    emit::model_group_prologue(ops, &layer.neuron, state_base, u_base);
                     ops.push(match self.variant {
                         KernelVariant::Baseline => emit::baseline_dense_dot(k_len as f64),
                         KernelVariant::SpikeStream => emit::streamed_dense_dot(
@@ -197,33 +217,33 @@ impl DenseEncodingKernel {
                     });
 
                     // Fused activation, identical to the sparse layers.
-                    emit::model_activation_head(&mut ops, &layer.neuron);
+                    emit::model_activation_head(ops, &layer.neuron);
                     for lane in 0..lanes {
                         let co = g * lanes + lane;
                         if co >= spec.out_channels {
                             break;
                         }
-                        emit::lane_unpack(&mut ops);
+                        emit::lane_unpack(ops);
                         let neuron = out_shape.index(oh, ow, co);
                         let current = self.format.quantize(currents.get(oh, ow, co));
                         if state.step_single(&layer.neuron, neuron, current) {
                             spikes.set(oh, ow, co, true);
-                            emit::fired_update(&mut ops, input_base, input_base);
+                            emit::fired_update(ops, input_base, input_base);
                         }
                     }
-                    emit::model_state_writeback(&mut ops, &layer.neuron, state_base, u_base);
+                    emit::model_state_writeback(ops, &layer.neuron, state_base, u_base);
                 }
-                items.push(WorkItem::new(ops));
+                sink.end_item();
             }
         }
-        program.push(Phase::Compute(ComputePhase { code: self.code_regions(), items }));
+        sink.end_compute();
         for dma in plan.dma_out_phases() {
-            program.push(Phase::Dma(dma));
+            sink.dma(dma);
         }
 
         let output = if spec.pool { max_pool_2x2(&spikes) } else { spikes.clone() };
         let compressed = CompressedIfmap::from_spike_map(&output);
-        (program, DenseKernelOutput { currents, spikes, output, compressed })
+        DenseKernelOutput { currents, spikes, output, compressed }
     }
 
     /// Symbolic lowering from the expected output firing rate (the dense
@@ -282,10 +302,11 @@ impl DenseEncodingKernel {
         );
         emit::model_state_writeback(&mut group, model, state_base, u_base);
 
-        let mut ops = emit::claim();
+        let mut ops = Vec::new();
+        emit::claim(&mut ops);
         ops.push(KernelOp::Loop { body: group, reps: groups as f64 });
         program.push(Phase::Compute(ComputePhase {
-            code: self.code_regions(),
+            code: self.code_regions().to_vec(),
             items: vec![WorkItem::replicated((out.h * out.w) as f64, ops)],
         }));
         for dma in plan.dma_out_phases() {

@@ -10,21 +10,33 @@
 //! (fractional) counts. This module is what replaced the duplicated
 //! closed-form loop math of the old `analytic` module.
 
+use snitch_arch::fp::FpFormat;
 use snitch_arch::isa::FpOp;
-use snitch_arch::SsrId;
+use snitch_arch::{ClusterConfig, SsrId};
+use snitch_sim::{ClusterExecutor, ClusterModel};
 use spikestream_ir::{IndexStream, KernelOp, StreamSpec};
 use spikestream_snn::compress::INDEX_BYTES;
 use spikestream_snn::NeuronModel;
 
-/// The workload-stealing claim of one work item: the atomic `next_rf` bump
-/// plus the bookkeeping branch of the stealing loop (Fig. 2b).
-pub(crate) fn claim() -> Vec<KernelOp> {
-    // Work items routinely reach dozens of ops; starting with real capacity
-    // keeps the hot lowering loops from growing the vector step by step.
-    let mut ops = Vec::with_capacity(96);
+/// Run an exact emitter on the cluster: `emit` writes into a
+/// [`ClusterExecutor`] that executes each work item as soon as it is
+/// complete, reusing `ops` as the item buffer.
+pub(crate) fn on_cluster<R>(
+    cluster: &mut ClusterModel,
+    format: FpFormat,
+    ops: &mut Vec<KernelOp>,
+    emit: impl FnOnce(&ClusterConfig, &mut ClusterExecutor<'_>) -> R,
+) -> R {
+    let config = cluster.config().clone();
+    emit(&config, &mut ClusterExecutor::new(cluster, format, ops))
+}
+
+/// The workload-stealing claim that opens every work item: the atomic
+/// `next_rf` bump plus the bookkeeping branch of the stealing loop
+/// (Fig. 2b).
+pub(crate) fn claim(ops: &mut Vec<KernelOp>) {
     ops.push(KernelOp::amo(0));
     ops.push(KernelOp::branch());
-    ops
 }
 
 /// SIMD-group prologue: load the group's per-neuron state into FP

@@ -17,15 +17,15 @@ use snitch_arch::fp::FpFormat;
 use snitch_arch::ClusterConfig;
 use snitch_sim::ClusterModel;
 use spikestream_ir::{
-    CachedProgram, CostIntegrator, ProgramCache, ProgramKey, SparsityBucket, StreamProgram,
-    StructuralKey,
+    CachedProgram, CostIntegrator, KernelOp, ProgramCache, ProgramKey, SparsityBucket,
+    StreamProgram, StructuralKey,
 };
 use spikestream_snn::{
     AerEvent, CompressedFcInput, CompressedIfmap, Layer, LayerKind, Network, NeuronState, SpikeMap,
     Tensor3,
 };
 
-use crate::{ConvKernel, DenseEncodingKernel, FcKernel, KernelVariant, PoolKernel};
+use crate::{emit, ConvKernel, DenseEncodingKernel, FcKernel, KernelVariant, PoolKernel};
 
 /// The input of one layer invocation.
 #[derive(Debug, Clone, Copy)]
@@ -57,10 +57,11 @@ pub struct LayerExecution {
 
 /// Reusable buffers for repeated [`LayerExecutor::run_with_scratch`] and
 /// [`LayerExecutor::run_temporal_step`] invocations: the neuron state, the
-/// compressed-input buffers and their backing allocations. A worker that
-/// evaluates many layers (or many batch samples) keeps one `LayerScratch`
-/// and avoids re-allocating these per layer once the buffers reach
-/// steady-state capacity.
+/// compressed-input buffers, the work-item buffer the kernels emit into
+/// while the cluster executes each item, and their backing allocations. A
+/// worker that evaluates many layers (or many batch samples) keeps one
+/// `LayerScratch` and avoids re-allocating these per layer once the
+/// buffers reach steady-state capacity.
 ///
 /// For temporal runs the scratch additionally owns one *persistent*
 /// [`NeuronState`] per network layer: [`LayerScratch::begin_sample`] resets
@@ -75,6 +76,8 @@ pub struct LayerScratch {
     state: NeuronState,
     ifmap: CompressedIfmap,
     fc: CompressedFcInput,
+    /// Op buffer of the work item being emitted and executed.
+    ops: Vec<KernelOp>,
     /// Per-layer persistent neuron states of the current temporal sample
     /// (empty until [`LayerScratch::begin_sample`] is called).
     states: Vec<NeuronState>,
@@ -212,8 +215,8 @@ impl LayerExecutor {
     ) -> LayerExecution {
         // Single-shot semantics: the neuron state rests before the layer
         // runs (the dispatch resets it when `fresh` is set).
-        let LayerScratch { state, ifmap, fc, .. } = scratch;
-        self.dispatch(cluster, layer, input, state, ifmap, fc, true).0
+        let LayerScratch { state, ifmap, fc, ops, .. } = scratch;
+        self.dispatch(cluster, layer, input, state, ifmap, fc, ops, true).0
     }
 
     /// Run one layer of one *timestep* of a temporal sample, advancing the
@@ -245,8 +248,8 @@ impl LayerExecutor {
             layer_idx < scratch.states.len(),
             "LayerScratch::begin_sample must size the membrane states before temporal steps"
         );
-        let LayerScratch { states, ifmap, fc, .. } = scratch;
-        self.dispatch(cluster, layer, input, &mut states[layer_idx], ifmap, fc, false)
+        let LayerScratch { states, ifmap, fc, ops, .. } = scratch;
+        self.dispatch(cluster, layer, input, &mut states[layer_idx], ifmap, fc, ops, false)
     }
 
     /// Lower one layer *symbolically* from expected firing rates,
@@ -430,12 +433,13 @@ impl LayerExecutor {
 
     /// The shared kernel dispatch behind [`LayerExecutor::run_with_scratch`]
     /// and [`LayerExecutor::run_temporal_step`]: compress the input, run
-    /// the matching kernel against `state`, and derive the structural
-    /// measurements. `fresh` selects single-shot semantics — the membrane
-    /// state is reset to rest before the layer runs, and the dense encoding
-    /// layer reports its historical every-pixel input metrics (a temporal
-    /// step instead counts the step's realized nonzero inputs, which is
-    /// what rate coding sparsifies).
+    /// the matching kernel's exact emitter against `state` straight into
+    /// the cluster (reusing `ops` as the work-item buffer), and derive the
+    /// structural measurements. `fresh` selects single-shot semantics — the
+    /// membrane state is reset to rest before the layer runs, and the dense
+    /// encoding layer reports its historical every-pixel input metrics (a
+    /// temporal step instead counts the step's realized nonzero inputs,
+    /// which is what rate coding sparsifies).
     #[allow(clippy::too_many_arguments)]
     fn dispatch(
         &self,
@@ -445,6 +449,7 @@ impl LayerExecutor {
         state: &mut NeuronState,
         ifmap: &mut CompressedIfmap,
         fc: &mut CompressedFcInput,
+        ops: &mut Vec<KernelOp>,
         fresh: bool,
     ) -> (LayerExecution, SpikeMap) {
         match (&layer.kind, input) {
@@ -453,7 +458,9 @@ impl LayerExecutor {
                     state.reset_for(&layer.neuron, spec.conv_output().len());
                 }
                 let kernel = DenseEncodingKernel::new(self.variant, self.format);
-                let out = kernel.run(cluster, layer, image, state);
+                let out = emit::on_cluster(cluster, self.format, ops, |config, sink| {
+                    kernel.emit(config, layer, image, state, sink)
+                });
                 let padded = spec.padded_input();
                 let input_spikes = if fresh { padded.len() } else { image.count_nonzero() };
                 (
@@ -474,7 +481,9 @@ impl LayerExecutor {
                     state.reset_for(&layer.neuron, spec.conv_output().len());
                 }
                 let kernel = ConvKernel::new(self.variant, self.format);
-                let out = kernel.run(cluster, layer, ifmap, state);
+                let out = emit::on_cluster(cluster, self.format, ops, |config, sink| {
+                    kernel.emit(config, layer, ifmap, state, sink)
+                });
                 let rate = ifmap.firing_rate();
                 (
                     LayerExecution {
@@ -491,7 +500,9 @@ impl LayerExecutor {
             (LayerKind::AvgPool(spec), LayerInput::Spikes(spikes)) => {
                 ifmap.refill_from(spikes);
                 let kernel = PoolKernel::new(self.variant, self.format);
-                let out = kernel.run(cluster, layer, spikes);
+                let out = emit::on_cluster(cluster, self.format, ops, |config, sink| {
+                    kernel.emit(config, layer, spikes, sink)
+                });
                 let rate = ifmap.firing_rate();
                 (
                     LayerExecution {
@@ -511,7 +522,9 @@ impl LayerExecutor {
                     state.reset_for(&layer.neuron, spec.out_features);
                 }
                 let kernel = FcKernel::new(self.variant, self.format);
-                let out = kernel.run(cluster, layer, fc, state);
+                let out = emit::on_cluster(cluster, self.format, ops, |config, sink| {
+                    kernel.emit(config, layer, fc, state, sink)
+                });
                 let exec = LayerExecution {
                     input_rate: fc.spike_count() as f64 / spec.in_features as f64,
                     input_spikes: fc.spike_count() as u64,

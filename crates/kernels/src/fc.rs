@@ -5,13 +5,17 @@
 //! are parallelized over cores in SIMD groups; each group performs one
 //! Sparse Vector Accumulation whose length equals the number of active
 //! inputs, either as the scalar indirection loop (baseline) or as an
-//! indirect stream under FREP (SpikeStream). The kernel lowers each
-//! invocation to a [`StreamProgram`] with one work item per SIMD group.
+//! indirect stream under FREP (SpikeStream). The kernel's one exact emit
+//! body writes one work item per SIMD group into a [`ProgramSink`]:
+//! collected into a [`StreamProgram`] by [`FcKernel::lower`], executed
+//! item by item on the cluster by [`FcKernel::run`].
 
 use snitch_arch::fp::FpFormat;
 use snitch_arch::ClusterConfig;
-use snitch_sim::{execute_program, ClusterModel};
-use spikestream_ir::{CodeRegion, ComputePhase, IndexStream, Phase, StreamProgram, WorkItem};
+use snitch_sim::ClusterModel;
+use spikestream_ir::{
+    CodeRegion, ComputePhase, IndexStream, Phase, ProgramSink, StreamProgram, WorkItem,
+};
 use spikestream_snn::{
     CompressedFcInput, Layer, LayerKind, LinearSpec, NeuronModel, NeuronState, SpikeMap,
     TensorShape,
@@ -58,15 +62,15 @@ impl FcKernel {
         self.format
     }
 
-    fn code_regions(&self) -> Vec<CodeRegion> {
-        let region = match self.variant {
+    fn code_regions(&self) -> [CodeRegion; 1] {
+        [match self.variant {
             KernelVariant::Baseline => CODE_REGION_FC_BASELINE,
             KernelVariant::SpikeStream => CODE_REGION_FC_SPIKESTREAM,
-        };
-        vec![region]
+        }]
     }
 
-    /// Run one fully connected layer on the cluster (lower + interpret).
+    /// Run one fully connected layer on the cluster, executing each SIMD
+    /// group's work item as soon as it is emitted.
     ///
     /// # Panics
     ///
@@ -80,9 +84,9 @@ impl FcKernel {
         input: &CompressedFcInput,
         state: &mut NeuronState,
     ) -> FcKernelOutput {
-        let (program, output) = self.lower(cluster.config(), layer, input, state);
-        execute_program(cluster, &program);
-        output
+        emit::on_cluster(cluster, self.format, &mut Vec::new(), |config, sink| {
+            self.emit(config, layer, input, state, sink)
+        })
     }
 
     /// Lower one invocation into its exact stream program, computing the
@@ -98,6 +102,22 @@ impl FcKernel {
         input: &CompressedFcInput,
         state: &mut NeuronState,
     ) -> (StreamProgram, FcKernelOutput) {
+        let mut program = StreamProgram::new(&layer.name, self.format);
+        let output = self.emit(config, layer, input, state, &mut program);
+        (program, output)
+    }
+
+    /// The exact emitter behind [`FcKernel::run`] and [`FcKernel::lower`]:
+    /// one work item per SIMD group of output neurons, written into `sink`,
+    /// with the functional results computed along the way.
+    pub(crate) fn emit(
+        &self,
+        config: &ClusterConfig,
+        layer: &Layer,
+        input: &CompressedFcInput,
+        state: &mut NeuronState,
+        sink: &mut impl ProgramSink,
+    ) -> FcKernelOutput {
         let LayerKind::Linear(spec) = &layer.kind else {
             panic!("FcKernel requires a fully connected layer");
         };
@@ -120,14 +140,12 @@ impl FcKernel {
         let u_base = state_base + (spec.out_features * 4) as u32;
         let spm_bytes = config.spm_bytes.max(1);
 
-        let mut program = StreamProgram::new(&layer.name, self.format);
         for dma in plan.dma_in_phases() {
-            program.push(Phase::Dma(dma));
+            sink.dma(dma);
         }
 
         let mut currents = vec![0.0f32; spec.out_features];
         let mut spikes = SpikeMap::silent(TensorShape::new(1, 1, spec.out_features));
-        let mut items = Vec::with_capacity(groups);
         // Every SIMD group gathers through the same active-input list; the
         // program holds it once, shared across groups.
         let idcs = IndexStream::exact(input.idcs().iter().map(|&i| i as u32));
@@ -143,9 +161,11 @@ impl FcKernel {
             }
         }
 
+        sink.begin_compute(&self.code_regions());
         for g in 0..groups {
-            let mut ops = emit::claim();
-            emit::model_group_prologue(&mut ops, &layer.neuron, state_base, u_base);
+            let ops = sink.begin_item();
+            emit::claim(ops);
+            emit::model_group_prologue(ops, &layer.neuron, state_base, u_base);
             if s_len > 0 {
                 ops.push(match self.variant {
                     KernelVariant::Baseline => emit::baseline_spva(idcs_base, s_len as f64),
@@ -160,29 +180,29 @@ impl FcKernel {
             }
 
             // Fused activation and compressed output update.
-            emit::model_activation_head(&mut ops, &layer.neuron);
+            emit::model_activation_head(ops, &layer.neuron);
             for lane in 0..lanes {
                 let o = g * lanes + lane;
                 if o >= spec.out_features {
                     break;
                 }
-                emit::lane_unpack(&mut ops);
+                emit::lane_unpack(ops);
                 let current = self.format.quantize(currents[o]);
                 if state.step_single(&layer.neuron, o, current) {
                     spikes.set(0, 0, o, true);
-                    emit::fired_update(&mut ops, idcs_base, idcs_base);
+                    emit::fired_update(ops, idcs_base, idcs_base);
                 }
             }
-            emit::model_state_writeback(&mut ops, &layer.neuron, state_base, u_base);
-            items.push(WorkItem::new(ops));
+            emit::model_state_writeback(ops, &layer.neuron, state_base, u_base);
+            sink.end_item();
         }
-        program.push(Phase::Compute(ComputePhase { code: self.code_regions(), items }));
+        sink.end_compute();
         for dma in plan.dma_out_phases() {
-            program.push(Phase::Dma(dma));
+            sink.dma(dma);
         }
 
         let compressed = CompressedFcInput::from_spike_map(&spikes);
-        (program, FcKernelOutput { currents, spikes, compressed })
+        FcKernelOutput { currents, spikes, compressed }
     }
 
     /// Expected stream length of the gather under `input_rate`: the active
@@ -231,7 +251,8 @@ impl FcKernel {
             program.push(Phase::Dma(dma));
         }
 
-        let mut ops = emit::claim();
+        let mut ops = Vec::new();
+        emit::claim(&mut ops);
         emit::model_group_prologue(&mut ops, model, state_base, u_base);
         if s_len > 0.0 {
             ops.push(match self.variant {
@@ -255,7 +276,7 @@ impl FcKernel {
         emit::model_state_writeback(&mut ops, model, state_base, u_base);
 
         program.push(Phase::Compute(ComputePhase {
-            code: self.code_regions(),
+            code: self.code_regions().to_vec(),
             items: vec![WorkItem::replicated(groups as f64, ops)],
         }));
         for dma in plan.dma_out_phases() {

@@ -12,14 +12,18 @@
 //!   registers and FREP hardware loops (Listing 1c), and the dense
 //!   spike-encoding first layer mapped onto two affine SSRs.
 //!
-//! Every kernel *lowers* a layer invocation into a
-//! [`StreamProgram`](spikestream_ir::StreamProgram) — in **exact** form
-//! from a concrete compressed input (interpreted on the `snitch-sim`
-//! cluster by the cycle-level backend), or in **symbolic** form from
-//! expected firing rates (integrated by
+//! Every kernel *emits* a layer invocation as a stream program — in
+//! **exact** form from a concrete compressed input, or in **symbolic**
+//! form from expected firing rates (a
+//! [`StreamProgram`](spikestream_ir::StreamProgram) integrated by
 //! [`CostIntegrator`](spikestream_ir::CostIntegrator) in the analytic
-//! backend). Both variants are functionally identical; they differ only in
-//! the instruction structure they emit, which is what produces the paper's
+//! backend). Each kernel has one exact emit body written against a
+//! [`ProgramSink`](spikestream_ir::ProgramSink): `lower` collects it into
+//! a `StreamProgram`, while `run` — and with it the cycle-level backend —
+//! hands it the `snitch-sim` cluster's executor, which runs every work
+//! item as soon as it is emitted, so no per-layer program is built. Both
+//! variants are functionally identical; they differ only in the
+//! instruction structure they emit, which is what produces the paper's
 //! utilization and speedup differences. The shared op templates live in
 //! the private `emit` module, so the inner-loop structure of Listings
 //! 1a-1c is written down exactly once.

@@ -1,8 +1,9 @@
 //! Spike average-pooling kernel.
 //!
 //! The layer that proves the IR's "new layer = one emitter" claim: the
-//! whole kernel is a single lowering function. Each output position is one
-//! work item; per SIMD channel group the kernel accumulates the window's
+//! exact kernel is a single emit body written against a [`ProgramSink`]
+//! ([`PoolKernel::lower`] collects it, [`PoolKernel::run`] executes it on
+//! the cluster item by item). Each output position is one work item; per SIMD channel group the kernel accumulates the window's
 //! spike words — as a scalar load/add loop in the baseline variant, or as
 //! a 2D *affine* stream on the affine-only `Ssr2` under FREP in the
 //! SpikeStream variant — then scales by the window area, thresholds at an
@@ -12,9 +13,9 @@
 
 use snitch_arch::isa::FpOp;
 use snitch_arch::{ClusterConfig, SsrId};
-use snitch_sim::{execute_program, ClusterModel};
+use snitch_sim::ClusterModel;
 use spikestream_ir::{
-    CodeRegion, ComputePhase, KernelOp, Phase, StreamProgram, StreamSpec, WorkItem,
+    CodeRegion, ComputePhase, KernelOp, Phase, ProgramSink, StreamProgram, StreamSpec, WorkItem,
 };
 use spikestream_snn::reference::avg_pool;
 use spikestream_snn::{CompressedIfmap, Layer, LayerKind, PoolSpec, SpikeMap};
@@ -53,14 +54,15 @@ impl PoolKernel {
         self.variant
     }
 
-    fn code_regions(&self) -> Vec<CodeRegion> {
-        vec![match self.variant {
+    fn code_regions(&self) -> [CodeRegion; 1] {
+        [match self.variant {
             KernelVariant::Baseline => CODE_REGION_POOL_BASELINE,
             KernelVariant::SpikeStream => CODE_REGION_POOL_SPIKESTREAM,
         }]
     }
 
-    /// Run one pooling layer on the cluster (lower + interpret).
+    /// Run one pooling layer on the cluster, executing each output
+    /// position's work item as soon as it is emitted.
     ///
     /// # Panics
     ///
@@ -72,9 +74,9 @@ impl PoolKernel {
         layer: &Layer,
         input: &SpikeMap,
     ) -> PoolKernelOutput {
-        let (program, output) = self.lower(cluster.config(), layer, input);
-        execute_program(cluster, &program);
-        output
+        emit::on_cluster(cluster, self.format, &mut Vec::new(), |config, sink| {
+            self.emit(config, layer, input, sink)
+        })
     }
 
     /// Lower one invocation into its exact stream program, computing the
@@ -89,36 +91,27 @@ impl PoolKernel {
         layer: &Layer,
         input: &SpikeMap,
     ) -> (StreamProgram, PoolKernelOutput) {
+        let mut program = StreamProgram::new(&layer.name, self.format);
+        let output = self.emit(config, layer, input, &mut program);
+        (program, output)
+    }
+
+    /// The exact emitter behind [`PoolKernel::run`] and
+    /// [`PoolKernel::lower`]: one work item per output position, written
+    /// into `sink`, after the functional output is computed.
+    pub(crate) fn emit(
+        &self,
+        config: &ClusterConfig,
+        layer: &Layer,
+        input: &SpikeMap,
+        sink: &mut impl ProgramSink,
+    ) -> PoolKernelOutput {
         let LayerKind::AvgPool(spec) = &layer.kind else {
             panic!("PoolKernel requires an average-pooling layer");
         };
         assert_eq!(input.shape(), spec.input, "input shape mismatch");
-
         let output = avg_pool(input, spec);
-        let program = self.emit(config, &layer.name, spec, Some(&output));
-        let compressed = CompressedIfmap::from_spike_map(&output);
-        (program, PoolKernelOutput { output, compressed })
-    }
 
-    /// Symbolic lowering from the expected output firing rate.
-    pub fn lower_symbolic(
-        &self,
-        config: &ClusterConfig,
-        label: &str,
-        spec: &PoolSpec,
-        output_rate: f64,
-    ) -> StreamProgram {
-        self.emit_with_rate(config, label, spec, output_rate)
-    }
-
-    /// The exact emitter: `fired` carries the concrete output spikes.
-    fn emit(
-        &self,
-        config: &ClusterConfig,
-        label: &str,
-        spec: &PoolSpec,
-        fired: Option<&SpikeMap>,
-    ) -> StreamProgram {
         let lanes = self.format.simd_lanes() as usize;
         let out = spec.output();
         let groups = spec.input.c.div_ceil(lanes);
@@ -128,17 +121,17 @@ impl PoolKernel {
         let out_base = plan.ofmap.base;
         let spm_bytes = config.spm_bytes.max(1);
 
-        let mut program = StreamProgram::new(label, self.format);
         for dma in plan.dma_in_phases() {
-            program.push(Phase::Dma(dma));
+            sink.dma(dma);
         }
 
-        let mut items = Vec::with_capacity(out.h * out.w);
+        sink.begin_compute(&self.code_regions());
         for oh in 0..out.h {
             for ow in 0..out.w {
-                let mut ops = emit::claim();
+                let ops = sink.begin_item();
+                emit::claim(ops);
                 for g in 0..groups {
-                    self.window_accumulate(&mut ops, spec, (oh, ow, g), in_base, spm_bytes);
+                    self.window_accumulate(ops, spec, (oh, ow, g), in_base, spm_bytes);
                     ops.push(KernelOp::fp(FpOp::Mul)); // x 1/window^2
                     ops.push(KernelOp::fp(FpOp::Cmp)); // average >= 0.5
                     ops.push(KernelOp::mov());
@@ -147,25 +140,28 @@ impl PoolKernel {
                         if c >= spec.input.c {
                             break;
                         }
-                        emit::lane_unpack(&mut ops);
-                        if fired.map(|f| f.get(oh, ow, c)).unwrap_or(false) {
-                            emit::fired_update(&mut ops, out_base, out_base);
+                        emit::lane_unpack(ops);
+                        if output.get(oh, ow, c) {
+                            emit::fired_update(ops, out_base, out_base);
                         }
                     }
                 }
-                items.push(WorkItem::new(ops));
+                sink.end_item();
             }
         }
-        program.push(Phase::Compute(ComputePhase { code: self.code_regions(), items }));
+        sink.end_compute();
         for dma in plan.dma_out_phases() {
-            program.push(Phase::Dma(dma));
+            sink.dma(dma);
         }
-        program
+
+        let compressed = CompressedIfmap::from_spike_map(&output);
+        PoolKernelOutput { output, compressed }
     }
 
-    /// Symbolic variant of [`Self::emit`]: the same per-group structure with
-    /// the activation tail scaled by the expected firing rate.
-    fn emit_with_rate(
+    /// Symbolic lowering from the expected output firing rate: the same
+    /// per-group structure as the exact emitter, with the activation tail
+    /// scaled by the expected firing rate.
+    pub fn lower_symbolic(
         &self,
         config: &ClusterConfig,
         label: &str,
@@ -200,10 +196,11 @@ impl PoolKernel {
             out_base,
         );
 
-        let mut ops = emit::claim();
+        let mut ops = Vec::new();
+        emit::claim(&mut ops);
         ops.push(KernelOp::Loop { body: group, reps: groups as f64 });
         program.push(Phase::Compute(ComputePhase {
-            code: self.code_regions(),
+            code: self.code_regions().to_vec(),
             items: vec![WorkItem::replicated((out.h * out.w) as f64, ops)],
         }));
         for dma in plan.dma_out_phases() {

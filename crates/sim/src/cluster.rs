@@ -119,7 +119,7 @@ impl ClusterModel {
     }
 
     /// Block every worker core until `cycle` waiting for prologue DMA tile
-    /// loads (the program interpreter's double-buffer serialization point).
+    /// loads (the program executor's double-buffer serialization point).
     pub fn stall_cores_until_dma(&mut self, cycle: u64) {
         for core in &mut self.cores {
             core.stall_until_dma(cycle);

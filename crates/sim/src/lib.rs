@@ -17,8 +17,10 @@
 //!   double buffering.
 //!
 //! The unit of execution is a *phase* (typically: one network layer). The
-//! kernels lower each layer into a `spikestream_ir::StreamProgram` that
-//! [`execute_program`] interprets on the cluster: work items are
+//! kernels' exact emitters write each layer into a [`ClusterExecutor`]
+//! (a `spikestream_ir::ProgramSink`), which executes every work item on
+//! the cluster as soon as it is emitted; [`execute_program`] replays a
+//! stored `StreamProgram` through the same executor. Work items are
 //! distributed over the [`WorkerCoreModel`]s by workload stealing, DMA
 //! phases overlap compute according to their double-buffer annotations,
 //! and the [`ClusterModel`] finally aggregates per-core counters into a
@@ -52,5 +54,5 @@ pub mod shard;
 pub use cluster::{ClusterModel, PhaseStats};
 pub use core_model::WorkerCoreModel;
 pub use counters::{PerfCounters, StallCause};
-pub use program::execute_program;
+pub use program::{execute_program, ClusterExecutor};
 pub use shard::{ClusterShard, ShardSet};

@@ -1,28 +1,120 @@
-//! Stream-program interpreter.
+//! Stream-program executor.
 //!
-//! Executes an *exact* [`StreamProgram`] on a [`ClusterModel`]: DMA phases
-//! go to the cluster's DMA engine (double-buffered transfers overlap
-//! compute, prologue loads gate it, epilogue write-backs wait for it),
-//! compute phases distribute their work items over the worker cores by
-//! workload stealing — always handing the next item to the core whose
-//! pipeline is the least advanced in time, exactly the atomic `next_rf`
-//! scheme of the paper's Fig. 2b — and every [`KernelOp`] lowers to the
-//! trace operations of the per-core timing model.
+//! [`ClusterExecutor`] runs an *exact* stream program on a
+//! [`ClusterModel`] as a [`ProgramSink`]: the kernels' exact emitters write
+//! into it directly, so each work item executes the moment it is complete
+//! and its op buffer is reused for the next one — a simulated layer never
+//! exists as a whole [`StreamProgram`]. DMA phases go to the cluster's DMA
+//! engine (double-buffered transfers overlap compute, prologue loads gate
+//! it, epilogue write-backs wait for it); work items are distributed over
+//! the worker cores by workload stealing — always handing the next item to
+//! the core whose pipeline is the least advanced in time, exactly the
+//! atomic `next_rf` scheme of the paper's Fig. 2b — and every
+//! [`KernelOp`] lowers to the trace operations of the per-core timing
+//! model. [`execute_program`] replays a stored program through the same
+//! executor, item by item, so there is one interpreter for both.
 //!
-//! The analytic backend prices the *same* programs with
-//! `spikestream_ir::CostIntegrator`; this module is the other consumer of
-//! the IR, and the two are pinned against each other by the
-//! `ir_equivalence` property tests at the repository root.
+//! The analytic backend prices the *same* emitter output, collected into a
+//! [`StreamProgram`], with `spikestream_ir::CostIntegrator`; the two are
+//! pinned against each other by the `ir_equivalence` property tests at the
+//! repository root.
 
 use snitch_arch::fp::FpFormat;
 use snitch_arch::TraceOp;
 use snitch_mem::dma::DmaDirection;
-use spikestream_ir::{KernelOp, Phase, StreamProgram};
+use spikestream_ir::{CodeRegion, DmaPhase, KernelOp, Phase, ProgramSink, StreamProgram};
 
 use crate::cluster::ClusterModel;
 use crate::core_model::WorkerCoreModel;
 
-/// Execute one exact stream program on the cluster.
+/// A [`ProgramSink`] that executes an exact program on a cluster as it is
+/// emitted.
+///
+/// Timing accumulates in the cluster's cores and DMA engine; close the
+/// phase with [`ClusterModel::finish_phase`] to collect the statistics.
+/// The op buffer handed out by [`ProgramSink::begin_item`] is borrowed
+/// from the caller, so a caller that keeps it across layers (the kernels'
+/// `LayerScratch` does) allocates no work items once it is warm.
+#[derive(Debug)]
+pub struct ClusterExecutor<'a> {
+    cluster: &'a mut ClusterModel,
+    format: FpFormat,
+    ops: &'a mut Vec<KernelOp>,
+    code: Vec<CodeRegion>,
+    /// Completion time of the latest prologue load the compute stream
+    /// must wait for.
+    prologue_floor: u64,
+}
+
+impl<'a> ClusterExecutor<'a> {
+    /// An executor for programs of storage format `format` whose emitted
+    /// items are written into `ops` (any previous contents are discarded).
+    pub fn new(
+        cluster: &'a mut ClusterModel,
+        format: FpFormat,
+        ops: &'a mut Vec<KernelOp>,
+    ) -> Self {
+        ClusterExecutor { cluster, format, ops, code: Vec::new(), prologue_floor: 0 }
+    }
+}
+
+/// The per-item executor shared by [`ClusterExecutor`] and
+/// [`execute_program`]: the least advanced core steals the item, fetches
+/// the compute phase's `code` and executes `ops`.
+fn run_item(cluster: &mut ClusterModel, code: &[CodeRegion], format: FpFormat, ops: &[KernelOp]) {
+    let core = cluster.least_busy_core();
+    for region in code {
+        cluster.fetch_code(core, region.id, region.bytes);
+    }
+    let model = cluster.core_mut(core);
+    for op in ops {
+        exec_op(model, op, format);
+    }
+}
+
+impl ProgramSink for ClusterExecutor<'_> {
+    fn dma(&mut self, phase: DmaPhase) {
+        let at = if phase.direction == DmaDirection::Out && !phase.double_buffered {
+            // Epilogue write-back: wait for the compute stream.
+            compute_time(self.cluster)
+        } else {
+            // Prologue loads and double-buffered transfers issue as early
+            // as the engine allows.
+            0
+        };
+        let done = self.cluster.dma_issue(phase.request(), at);
+        if phase.direction == DmaDirection::In && !phase.double_buffered {
+            self.prologue_floor = self.prologue_floor.max(done);
+        }
+    }
+
+    fn begin_compute(&mut self, code: &[CodeRegion]) {
+        self.cluster.stall_cores_until_dma(self.prologue_floor);
+        self.code.clear();
+        self.code.extend_from_slice(code);
+    }
+
+    fn begin_item(&mut self) -> &mut Vec<KernelOp> {
+        self.ops.clear();
+        self.ops
+    }
+
+    fn end_item(&mut self) {
+        run_item(self.cluster, &self.code, self.format, self.ops);
+    }
+
+    fn end_compute(&mut self) {
+        // Implicit end-of-phase barrier: every core joins its outstanding
+        // FP work.
+        for core in 0..self.cluster.worker_cores() {
+            self.cluster.core_mut(core).exec(&TraceOp::Barrier);
+        }
+    }
+}
+
+/// Execute one stored exact stream program on the cluster: a replay of
+/// its phases through [`ClusterExecutor`], each item instance run as if it
+/// had just been emitted.
 ///
 /// Timing accumulates in the cluster's cores and DMA engine; close the
 /// phase with [`ClusterModel::finish_phase`] to collect the statistics.
@@ -36,44 +128,19 @@ pub fn execute_program(cluster: &mut ClusterModel, program: &StreamProgram) {
         !program.is_symbolic(),
         "symbolic programs cannot be interpreted; use the analytic cost integration"
     );
-    let format = program.format;
-    let mut prologue_floor = 0u64;
-
+    let mut unused = Vec::new();
+    let mut executor = ClusterExecutor::new(cluster, program.format, &mut unused);
     for phase in &program.phases {
         match phase {
-            Phase::Dma(d) => {
-                let at = if d.direction == DmaDirection::Out && !d.double_buffered {
-                    // Epilogue write-back: wait for the compute stream.
-                    compute_time(cluster)
-                } else {
-                    // Prologue loads and double-buffered transfers issue as
-                    // early as the engine allows.
-                    0
-                };
-                let done = cluster.dma_issue(d.request(), at);
-                if d.direction == DmaDirection::In && !d.double_buffered {
-                    prologue_floor = prologue_floor.max(done);
-                }
-            }
+            Phase::Dma(d) => executor.dma(d.clone()),
             Phase::Compute(c) => {
-                cluster.stall_cores_until_dma(prologue_floor);
+                executor.begin_compute(&c.code);
                 for item in &c.items {
                     for _ in 0..item.instances as u64 {
-                        let core = cluster.least_busy_core();
-                        for region in &c.code {
-                            cluster.fetch_code(core, region.id, region.bytes);
-                        }
-                        let model = cluster.core_mut(core);
-                        for op in &item.ops {
-                            exec_op(model, op, format);
-                        }
+                        run_item(executor.cluster, &executor.code, executor.format, &item.ops);
                     }
                 }
-                // Implicit end-of-phase barrier: every core joins its
-                // outstanding FP work.
-                for core in 0..cluster.worker_cores() {
-                    cluster.core_mut(core).exec(&TraceOp::Barrier);
-                }
+                executor.end_compute();
             }
         }
     }

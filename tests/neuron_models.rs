@@ -15,6 +15,12 @@
 //! 3. **Schedule invariance** — serving reports are bit-identical across
 //!    worker fan-out and shard counts 1/2/4 for both models, both
 //!    encodings, T ∈ {1, 4}, both timing models.
+//! 4. **Streaming equality** — a kernel's `run`, whose emitter writes
+//!    straight into the cluster's executor, is bit-for-bit the
+//!    materialized path (`lower` + `execute_program`): every phase's
+//!    statistics, the functional outputs and the neuron states, for every
+//!    exact emitter, variant and format, across layers sharing one warm
+//!    instruction cache.
 
 mod common;
 
@@ -29,13 +35,15 @@ use spikestream::{
     InferenceConfig, KernelVariant, Request, TemporalEncoding, TimingModel,
 };
 use spikestream_ir::{CostIntegrator, ProgramCost, StreamProgram};
-use spikestream_kernels::{ConvKernel, FcKernel, LayerExecutor, LayerInput, LayerScratch};
+use spikestream_kernels::{
+    ConvKernel, DenseEncodingKernel, FcKernel, LayerExecutor, LayerInput, LayerScratch, PoolKernel,
+};
 use spikestream_snn::encoding::{pad_image, pad_spikes, synthetic_image, TemporalEncoder};
 use spikestream_snn::neuron::LifParams;
 use spikestream_snn::tensor::{SpikeMap, TensorShape};
 use spikestream_snn::{
     CompressedFcInput, CompressedIfmap, ConvSpec, IzhiParams, Layer, LayerKind, LinearSpec,
-    NeuronModel, NeuronState, ReferenceEngine, Tensor3,
+    NeuronModel, NeuronState, PoolSpec, ReferenceEngine, Tensor3,
 };
 
 /// Relative cycle-count tolerance between integration and interpretation
@@ -275,6 +283,181 @@ proptest! {
             state_bytes,
             stats.dma_bytes_out
         );
+    }
+}
+
+/// How a differential run drives a kernel on the cluster.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Path {
+    /// `run`: the emitter writes straight into the cluster's executor.
+    Streamed,
+    /// `lower` collects the whole program, `execute_program` replays it.
+    Replayed,
+}
+
+/// Invoke `kernel` on `cluster` through `path`; the arguments after the
+/// cluster are the ones `run` and `lower` share.
+macro_rules! invoke {
+    ($path:expr, $cluster:expr, $kernel:expr, $($arg:expr),+) => {
+        match $path {
+            Path::Streamed => $kernel.run($cluster, $($arg),+),
+            Path::Replayed => {
+                let (program, out) = $kernel.lower($cluster.config(), $($arg),+);
+                execute_program($cluster, &program);
+                out
+            }
+        }
+    };
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Drive every exact emitter twice on one cluster through `path` — dense
+/// encoding, conv, conv with pooling, avg-pool, FC, then the same again
+/// on new inputs with the neuron states carried over, so the second round
+/// starts from a warm instruction cache. Returns, per layer, the closed
+/// phase's statistics and a bit-exact rendering of the functional outputs
+/// and neuron state.
+fn differential_run(
+    path: Path,
+    model: NeuronModel,
+    variant: KernelVariant,
+    format: FpFormat,
+    rate: f64,
+    seed: u64,
+) -> Vec<(PhaseStats, String)> {
+    let conv_spec = |pool| ConvSpec {
+        input: TensorShape::new(6, 6, 8),
+        out_channels: 12,
+        kh: 3,
+        kw: 3,
+        stride: 1,
+        padding: 1,
+        pool,
+    };
+    let dense_spec = ConvSpec { input: TensorShape::new(6, 6, 3), ..conv_spec(false) };
+    let pool_spec = PoolSpec { input: TensorShape::new(8, 8, 12), window: 2 };
+    let fc_spec = LinearSpec { in_features: 64, out_features: 20 };
+    let layer = |name: &str, kind: LayerKind, salt: u64| {
+        let mut layer = Layer::new(name, kind, model);
+        let mut rng = StdRng::seed_from_u64(seed ^ salt);
+        layer.randomize_weights(&mut rng, common::weight_amplitude(&model));
+        layer
+    };
+    let mut dense = layer("dense", LayerKind::Conv(dense_spec), 1);
+    dense.encodes_input = true;
+    let conv = layer("conv", LayerKind::Conv(conv_spec(false)), 2);
+    let conv_pool = layer("conv-pool", LayerKind::Conv(conv_spec(true)), 3);
+    let pool = layer("pool", LayerKind::AvgPool(pool_spec), 4);
+    let fc = layer("fc", LayerKind::Linear(fc_spec), 5);
+
+    let mut dense_state = NeuronState::new(&model, dense_spec.conv_output().len());
+    let mut conv_state = NeuronState::new(&model, conv_spec(false).conv_output().len());
+    let mut pool_conv_state = NeuronState::new(&model, conv_spec(true).conv_output().len());
+    let mut fc_state = NeuronState::new(&model, fc_spec.out_features);
+    let state_bits =
+        |s: &NeuronState| format!("v {:?} u {:?}", bits(s.membrane()), bits(s.recovery()));
+
+    let mut cluster = ClusterModel::new(ClusterConfig::default(), CostModel::default());
+    let mut phases = Vec::new();
+    for round in 0..2u64 {
+        let salt = seed ^ (round << 32);
+        let mut rng = StdRng::seed_from_u64(salt);
+        let image = pad_image(&synthetic_image(dense_spec.input, &mut rng), dense_spec.padding);
+        let ifmap = CompressedIfmap::from_spike_map(&random_spikes(
+            conv_spec(false).padded_input(),
+            rate,
+            1,
+            salt ^ 6,
+        ));
+        let pool_input = random_spikes(pool_spec.input, rate, 0, salt ^ 7);
+        let fc_spikes: Vec<bool> = (0..fc_spec.in_features).map(|_| rng.gen_bool(rate)).collect();
+        let fc_input = CompressedFcInput::from_spikes(&fc_spikes);
+
+        let out = invoke!(
+            path,
+            &mut cluster,
+            DenseEncodingKernel::new(variant, format),
+            &dense,
+            &image,
+            &mut dense_state
+        );
+        let rendered = format!(
+            "{:?} {:?} {:?} {:?} {}",
+            bits(out.currents.data()),
+            out.spikes,
+            out.output,
+            out.compressed,
+            state_bits(&dense_state)
+        );
+        phases.push((cluster.finish_phase("dense"), rendered));
+
+        for (layer, state) in [(&conv, &mut conv_state), (&conv_pool, &mut pool_conv_state)] {
+            let out =
+                invoke!(path, &mut cluster, ConvKernel::new(variant, format), layer, &ifmap, state);
+            let rendered = format!(
+                "{:?} {:?} {:?} {:?} {}",
+                bits(out.currents.data()),
+                out.spikes,
+                out.output,
+                out.compressed,
+                state_bits(state)
+            );
+            phases.push((cluster.finish_phase(layer.name.as_str()), rendered));
+        }
+
+        let out = invoke!(path, &mut cluster, PoolKernel::new(variant, format), &pool, &pool_input);
+        phases.push((cluster.finish_phase("pool"), format!("{out:?}")));
+
+        let out = invoke!(
+            path,
+            &mut cluster,
+            FcKernel::new(variant, format),
+            &fc,
+            &fc_input,
+            &mut fc_state
+        );
+        let rendered = format!(
+            "{:?} {:?} {:?} {}",
+            bits(&out.currents),
+            out.spikes,
+            out.compressed,
+            state_bits(&fc_state)
+        );
+        phases.push((cluster.finish_phase("fc"), rendered));
+    }
+    phases
+}
+
+proptest! {
+    /// Claim 4: for both model families, random variants, formats, weights
+    /// and input sparsities, streaming each exact emitter
+    /// into the cluster reproduces the lowered-then-replayed program bit
+    /// for bit — phase statistics (cycles, stalls, DMA, I-cache refills
+    /// across layers), functional outputs and neuron states alike.
+    #[test]
+    fn streamed_runs_match_lowered_programs_bit_for_bit(
+        variant in choice(&[KernelVariant::Baseline, KernelVariant::SpikeStream]),
+        format in choice(&[FpFormat::Fp32, FpFormat::Fp16, FpFormat::Fp8]),
+        rate in choice(&[0.0, 0.15, 0.4]),
+        seed in 0u64..1_000,
+    ) {
+        for model in both_models() {
+            let streamed = differential_run(Path::Streamed, model, variant, format, rate, seed);
+            let replayed = differential_run(Path::Replayed, model, variant, format, rate, seed);
+            prop_assert_eq!(streamed.len(), replayed.len());
+            for ((s, s_out), (r, r_out)) in streamed.iter().zip(&replayed) {
+                let label = format!(
+                    "{}/{variant}/{format:?}/rate {rate}/seed {seed}/{}",
+                    model.as_str(),
+                    s.label
+                );
+                prop_assert_eq!(s, r, "{}: phase statistics", label);
+                prop_assert_eq!(s_out, r_out, "{}: functional outputs", label);
+            }
+        }
     }
 }
 
