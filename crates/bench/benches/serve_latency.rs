@@ -1,18 +1,13 @@
 //! Bench for the serving hot path's worker-pool dispatch.
 //!
 //! Sweeps workers {1, 2, 4, 8} × batch {1, 64, 512} over one warm
-//! analytic [`Session`] and measures the per-request latency of the
-//! parked-pool executor (`pool/...`) against the legacy spawn-per-request
-//! scoped executor (`spawn/...`) it replaced. The two paths produce
-//! bit-identical reports (`tests/worker_pool.rs` asserts it); the only
-//! difference is how the multi-worker claim loop reaches its threads —
-//! one condvar wakeup versus an OS thread spawn/join per worker per
-//! request. At the small-batch repeated-request scale the spawn cost
-//! dominates, which is exactly the regime this bench pins.
-//!
+//! analytic [`Session`](spikestream::Session) per point and measures the
+//! per-request latency of the parked-pool executor (`pool/w<N>/b<B>`).
 //! Single-worker requests bypass the pool entirely (slot 0 is the calling
-//! thread), so `pool/w1/...` and `spawn/w1/...` double as the
-//! no-overhead sanity baseline: they should be statistically identical.
+//! thread), so `pool/w1/...` is the no-dispatch baseline each multi-worker
+//! point is read against: the gap is the cost of one condvar wakeup per
+//! worker plus the shared claim loop, set against the parallel speedup
+//! the host's cores allow.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use spikestream::{
@@ -40,19 +35,11 @@ fn bench(c: &mut Criterion) {
         for &workers in &[1usize, 2, 4, 8] {
             let request = Request::batch(batch).with_workers(workers);
 
-            let mut pooled = plan.open_session();
-            pooled.infer(&request); // warm: spawn pool threads, size arenas
+            let mut session = plan.open_session();
+            session.infer(&request); // warm: spawn pool threads, size arenas
             let name = format!("pool/w{workers}/b{batch}");
             c.bench_function(name.as_str(), |b| {
-                b.iter(|| pooled.infer(std::hint::black_box(&request)))
-            });
-            drop(pooled);
-
-            let mut spawning = plan.open_session().with_spawn_per_request(true);
-            spawning.infer(&request); // warm: size arenas (threads still churn)
-            let name = format!("spawn/w{workers}/b{batch}");
-            c.bench_function(name.as_str(), |b| {
-                b.iter(|| spawning.infer(std::hint::black_box(&request)))
+                b.iter(|| session.infer(std::hint::black_box(&request)))
             });
         }
     }

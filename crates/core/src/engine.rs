@@ -4,12 +4,9 @@
 //! energy models. Since the serving redesign it has exactly one execution
 //! entry point: [`Engine::compile`] produces a [`Plan`] (validated config,
 //! plan-owned backend, ahead-of-time lowered program cache), and the
-//! plan's [`Session`](crate::Session)s serve requests. The historical
-//! per-call entry points — [`Engine::run`], [`Engine::run_with_backend`],
-//! [`Engine::run_sharded`], [`Engine::run_sequential`] — survive as thin
-//! deprecated wrappers over a one-shot session and produce bit-identical
-//! reports (the golden-JSON suite in `tests/serving_equivalence.rs` pins
-//! that against pre-redesign captures).
+//! plan's [`Session`](crate::Session)s serve requests (the golden-JSON
+//! suite in `tests/serving_equivalence.rs` pins their reports against
+//! pre-redesign captures).
 
 use serde::{Deserialize, Serialize};
 
@@ -20,10 +17,8 @@ use spikestream_ir::CostIntegrator;
 use spikestream_kernels::{KernelVariant, LayerExecutor};
 use spikestream_snn::{FiringProfile, Network, TemporalEncoding, WorkloadMode};
 
-use crate::backend::{ExecutionBackend, SampleContext};
+use crate::backend::SampleContext;
 use crate::plan::{Compiler, Plan};
-use crate::report::InferenceReport;
-use crate::session::Request;
 
 /// Which timing model the engine uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -209,75 +204,13 @@ impl Engine {
             executor: LayerExecutor::new(config.variant, config.format),
         }
     }
-
-    /// The historical entry points tolerated `batch: 0` by clamping it to
-    /// one sample; the strict [`Engine::compile`] rejects it. The wrappers
-    /// keep the old behavior so their reports stay bit-identical.
-    fn legacy_config(config: &InferenceConfig) -> InferenceConfig {
-        InferenceConfig { batch: config.batch.max(1), ..*config }
-    }
-
-    /// Run the network under `config` and return the averaged report.
-    #[deprecated(
-        since = "0.2.0",
-        note = "compile once and serve: `engine.compile(config).run()` (or open a Session)"
-    )]
-    pub fn run(&self, config: &InferenceConfig) -> InferenceReport {
-        self.compile(&Self::legacy_config(config)).run()
-    }
-
-    /// Run the network through an explicit, caller-borrowed backend.
-    #[deprecated(
-        since = "0.2.0",
-        note = "bind the backend into a plan (`Compiler::with_backend`) or use \
-                `Session::infer_with_backend`"
-    )]
-    pub fn run_with_backend(
-        &self,
-        backend: &dyn ExecutionBackend,
-        config: &InferenceConfig,
-    ) -> InferenceReport {
-        self.compile(&Self::legacy_config(config))
-            .open_session()
-            .infer_with_backend(backend, &Request::batch(config.batch))
-    }
-
-    /// Run the network on a fleet of `shards` simulated clusters.
-    #[deprecated(
-        since = "0.2.0",
-        note = "serve a sharded request: `session.infer(&Request::batch(n).with_shards(s))`"
-    )]
-    pub fn run_sharded(
-        &self,
-        backend: &dyn ExecutionBackend,
-        config: &InferenceConfig,
-        shards: usize,
-    ) -> InferenceReport {
-        self.compile(&Self::legacy_config(config))
-            .open_session()
-            .infer_with_backend(backend, &Request::batch(config.batch).with_shards(shards))
-    }
-
-    /// Single-threaded reference run; bit-identical to the parallel paths.
-    #[deprecated(
-        since = "0.2.0",
-        note = "serve a sequential request: `session.infer(&Request::batch(n).sequential())`"
-    )]
-    pub fn run_sequential(
-        &self,
-        backend: &dyn ExecutionBackend,
-        config: &InferenceConfig,
-    ) -> InferenceReport {
-        self.compile(&Self::legacy_config(config))
-            .open_session()
-            .infer_with_backend(backend, &Request::batch(config.batch).sequential())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::{AnalyticBackend, CycleLevelBackend};
+    use crate::report::InferenceReport;
     use crate::session::Request;
 
     fn analytic(variant: KernelVariant, format: FpFormat) -> InferenceReport {

@@ -4,8 +4,9 @@
 //! `figures` binary and the integration tests can all consume the same
 //! results. The mapping to the paper is documented per function; how the
 //! experiments flow through the execution-backend layer is described in
-//! ARCHITECTURE.md. Every driver runs through [`Engine::run`], i.e. batch
-//! samples execute in parallel on the analytic backend.
+//! ARCHITECTURE.md. Every driver compiles a [`Plan`](crate::Plan) and
+//! serves it ([`Plan::run`](crate::Plan::run)), i.e. batch samples
+//! execute in parallel on the analytic backend.
 
 use serde::{Deserialize, Serialize};
 

@@ -44,10 +44,6 @@
 //!   `spikestream` CLI (`run` / `bench` / `compare`);
 //! * [`experiments`] regenerates every figure of the paper's evaluation.
 //!
-//! The historical per-call entry points (`Engine::run`,
-//! `Engine::run_sharded`, …) remain as deprecated wrappers over a one-shot
-//! session and produce bit-identical reports.
-//!
 //! # Quickstart
 //!
 //! ```
@@ -115,7 +111,7 @@ pub use pool::PoolStats;
 pub use report::{InferenceReport, LayerReport, ShardSummary, ShardUtilization, TimestepReport};
 pub use scenario::{NetworkChoice, Scenario, ScenarioError, ServeSettings};
 pub use session::{FnSink, Request, ResultSink, Session, SessionStats, SessionStatsHandle};
-pub use sharding::{attribute_shards, BatchScheduler, ShardedBatch};
+pub use sharding::{attribute_shards, MAX_SHARDS};
 
 // Re-export the vocabulary types users need to drive the engine.
 pub use neuro_accel_models::{AcceleratorResult, AcceleratorSpec};

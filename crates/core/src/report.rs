@@ -6,9 +6,8 @@
 //! `InferenceReport::fold_batch` collapses the flat sample-major
 //! measurement buffer into batch-averaged
 //! layer (and, for temporal runs, per-timestep) statistics. Every
-//! execution path — streaming sinks, one-shot sessions, the deprecated
-//! `Engine::run*` wrappers — funnels through this one fold, which is what
-//! keeps their reports bit-identical.
+//! report — parallel, sequential, sharded or gathered — funnels through
+//! this one fold, which is what keeps their reports bit-identical.
 
 use serde::{Deserialize, Serialize};
 
@@ -83,8 +82,8 @@ pub struct ShardUtilization {
     pub utilization: f64,
 }
 
-/// Fleet-level statistics of a sharded batch run
-/// ([`Engine::run_sharded`](crate::Engine::run_sharded)).
+/// Fleet-level statistics of a sharded request
+/// ([`Request::with_shards`](crate::Request::with_shards)).
 ///
 /// The shard assignment is a deterministic function of the per-sample
 /// cycle counts (least-loaded stealing in simulated time), so these

@@ -18,7 +18,7 @@
 //! timing    = "analytic"      # analytic | cycle-level
 //! batch     = 128
 //! seed      = 0xC1FA
-//! shards    = 8
+//! shards    = 8               # 1..=4096 (MAX_SHARDS)
 //! # Optional temporal-pipeline keys: setting either switches the run from
 //! # the synthetic single-shot path to a real T-timestep inference.
 //! timesteps = 4
@@ -74,8 +74,8 @@ use spikestream_snn::{
 
 use crate::engine::{Engine, InferenceConfig, TimingModel};
 use crate::plan::{Compiler, Plan};
-use crate::report::InferenceReport;
 use crate::session::Request;
+use crate::sharding::MAX_SHARDS;
 
 /// The networks a scenario can name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -449,11 +449,14 @@ impl Scenario {
                     });
                 }
                 "shards" => {
-                    let shards = parse_u64(lineno, value)? as usize;
+                    let shards = parse_u64(lineno, value)?;
                     if shards == 0 {
                         return Err(err(lineno, "shards must be at least 1"));
                     }
-                    scenario.shards = shards;
+                    if shards > MAX_SHARDS as u64 {
+                        return Err(err(lineno, format!("shards must be at most {MAX_SHARDS}")));
+                    }
+                    scenario.shards = shards as usize;
                 }
                 other => {
                     return Err(err(
@@ -530,34 +533,6 @@ impl Scenario {
     /// attribution included.
     pub fn request(&self) -> Request {
         Request::batch(self.config.batch).with_shards(self.shards)
-    }
-
-    /// Run the scenario through the sharded batch driver and return the
-    /// report (with fleet statistics).
-    #[deprecated(
-        since = "0.2.0",
-        note = "compile once and serve: `scenario.compile()?.open_session().infer(&scenario.request())`"
-    )]
-    pub fn run(&self) -> InferenceReport {
-        // Historical tolerance: a zero batch ran as one sample.
-        let mut legacy = self.clone();
-        legacy.config.batch = legacy.config.batch.max(1);
-        let plan = legacy.compile().expect("scenario must compile");
-        plan.open_session().infer(&legacy.request())
-    }
-
-    /// Run the scenario through the single-threaded reference path (no
-    /// fleet statistics); bit-identical in all aggregate fields to
-    /// [`Scenario::run`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "serve a sequential request: `session.infer(&Request::batch(n).sequential())`"
-    )]
-    pub fn run_sequential(&self) -> InferenceReport {
-        let mut legacy = self.clone();
-        legacy.config.batch = legacy.config.batch.max(1);
-        let plan = legacy.compile().expect("scenario must compile");
-        plan.open_session().infer(&Request::batch(legacy.config.batch).sequential())
     }
 }
 
@@ -761,6 +736,7 @@ shards  = 4
             ("[scenario]\nbatch = \"x\"\n", 2, "unsigned integer"),
             ("[scenario]\nbatch = 0\n", 2, "at least 1"),
             ("[scenario]\nshards = 0\n", 2, "at least 1"),
+            ("[scenario]\nshards = 4000000000\n", 2, "at most 4096"),
             ("[scenario]\nnetwork = \"resnet\"\n", 2, "unknown network"),
             ("[scenario]\nname = unquoted\n", 2, "quoted string"),
             ("[scenario]\nnonsense\n", 2, "key = value"),

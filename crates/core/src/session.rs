@@ -13,8 +13,7 @@
 //! [`ResultSink`] as soon as its worker finishes it, instead of
 //! materializing one monolithic report. [`InferenceReport`] is literally a
 //! fold over that stream — [`Session::infer`] plugs in the folding sink
-//! and returns the same bit-identical report the legacy `Engine::run*`
-//! entry points produced (they are thin wrappers over exactly this path).
+//! and returns the report.
 //!
 //! Determinism: samples are seeded independently and land in their own
 //! slot of the fold, so the report is independent of worker scheduling.
@@ -31,6 +30,11 @@ use crate::plan::Plan;
 use crate::pool::{PoolStats, WorkerPool};
 use crate::report::{InferenceReport, ShardSummary};
 use crate::sharding::{attribute_shards, clamp_workers};
+
+/// Samples per chunk a pool worker claims in one cursor bump: small
+/// enough to balance a short batch across workers, large enough to
+/// amortize the claim.
+const CHUNK: usize = 4;
 
 /// One serving request: which batch samples to evaluate and how.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -140,7 +144,7 @@ impl<F: FnMut(usize, &[LayerSample]) + Send> ResultSink for FnSink<F> {
 
 /// The folding sink behind [`Session::infer`]: collects every sample into
 /// its slot of one flat buffer (so the fold is independent of arrival
-/// order) and folds the buffer into an [`InferenceReport`] — the legacy
+/// order) and folds the buffer into an [`InferenceReport`] — the
 /// monolithic report is this fold, nothing more.
 struct ReportSink<'a> {
     units: usize,
@@ -213,8 +217,6 @@ pub struct Session<'p> {
     arenas: Vec<WorkerArena>,
     pool: WorkerPool,
     workers: usize,
-    chunk: usize,
-    spawn_per_request: bool,
     flat: Vec<LayerSample>,
     cycles: Vec<f64>,
     mirror: SessionStatsHandle,
@@ -228,8 +230,6 @@ impl<'p> Session<'p> {
             arenas: Vec::new(),
             pool: WorkerPool::new(),
             workers: host,
-            chunk: 4,
-            spawn_per_request: false,
             flat: Vec::new(),
             cycles: Vec::new(),
             mirror: SessionStatsHandle::default(),
@@ -244,25 +244,6 @@ impl<'p> Session<'p> {
     /// Override the default host worker count (clamped to at least 1).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self
-    }
-
-    /// Override the number of samples per stolen chunk (clamped to at
-    /// least 1).
-    pub fn with_chunk(mut self, chunk: usize) -> Self {
-        self.chunk = chunk.max(1);
-        self
-    }
-
-    /// Route multi-worker requests through the legacy spawn-per-request
-    /// scoped executor instead of the session's parked [`WorkerPool`].
-    ///
-    /// This exists as the measurable baseline for the `serve_latency`
-    /// bench (the thread-churn cost the pool exists to remove) and for
-    /// A/B debugging; serving should always use the default pooled path.
-    /// Results are bit-identical either way.
-    pub fn with_spawn_per_request(mut self, spawn: bool) -> Self {
-        self.spawn_per_request = spawn;
         self
     }
 
@@ -388,7 +369,7 @@ impl<'p> Session<'p> {
         self.cycles.resize(batch, 0.0);
         // The one shared sizing policy (`sharding::clamp_workers`): never
         // run more workers than there are chunks to steal.
-        let chunks = batch.div_ceil(self.chunk);
+        let chunks = batch.div_ceil(CHUNK);
         let workers = clamp_workers(request.workers.unwrap_or(self.workers), chunks);
         // Worker-count growth grows the arenas and the pool together: the
         // arenas here, the pool threads inside `run_stealing` on dispatch.
@@ -411,15 +392,20 @@ impl<'p> Session<'p> {
             // worker pool; results stream through one serialized sink
             // handle as they complete. Delivery is a per-sample critical
             // section — a small copy for the folding sink, cheap next to
-            // evaluating the sample; sinks needing lock-free delivery at
-            // scale can drive `BatchScheduler`'s disjoint-window scheme
-            // instead.
+            // evaluating the sample.
             let shared = Mutex::new((&mut *sink, self.cycles.as_mut_slice()));
-            let chunk = self.chunk;
             let ids = &ids;
-            let run_chunk = |arena: &mut WorkerArena, w: usize| {
-                let start = w * chunk;
-                let end = (start + chunk).min(batch);
+            // Worker slot `s` owns arena `s` for the whole request, so
+            // per-worker kernel scratch and membrane buffers keep their
+            // locality across requests; the mutexes only hand the `&mut`
+            // arenas across the parked threads and are each locked once,
+            // by their own slot.
+            let slots: Vec<Mutex<&mut WorkerArena>> =
+                self.arenas[..workers].iter_mut().map(Mutex::new).collect();
+            self.pool.run_stealing(workers, chunks, |slot, w| {
+                let arena = &mut *slots[slot].lock().expect("arena slot poisoned");
+                let start = w * CHUNK;
+                let end = (start + CHUNK).min(batch);
                 for i in start..end {
                     let sample = ids.get(i);
                     let layers = arena.run_sample(backend, &ctx, sample);
@@ -429,30 +415,12 @@ impl<'p> Session<'p> {
                     cycle_slots[i] = cycles;
                     sink.on_slot(i, sample, layers);
                 }
-            };
-            if self.spawn_per_request {
-                // Benchmark baseline: the legacy scoped executor, paying
-                // thread spawn/join on every request.
-                crate::sharding::steal_chunks(chunks, &mut self.arenas[..workers], run_chunk);
-            } else {
-                // Worker slot `s` owns arena `s` for the whole request, so
-                // per-worker kernel scratch and membrane buffers keep
-                // their locality across requests exactly as before; the
-                // mutexes only hand the `&mut` arenas across the parked
-                // threads and are each locked once, by their own slot.
-                let slots: Vec<Mutex<&mut WorkerArena>> =
-                    self.arenas[..workers].iter_mut().map(Mutex::new).collect();
-                self.pool.run_stealing(workers, chunks, |slot, w| {
-                    let arena = &mut *slots[slot].lock().expect("arena slot poisoned");
-                    run_chunk(arena, w);
-                });
-            }
+            });
         }
 
         // Deterministic fleet attribution in simulated time: a pure
         // function of the per-sample cycle totals, identical no matter how
-        // the host threads raced (and identical to the legacy
-        // `run_sharded` batch scheduler).
+        // the host threads raced.
         if let Some(shards) = request.shards {
             sink.on_fleet(&attribute_shards(&self.cycles, shards));
         }

@@ -300,16 +300,6 @@ impl SpikeMap {
         ActiveChannels { bits: self.active_bits_range(base, base + self.shape.c), base }
     }
 
-    /// Channel indices of the active neurons at spatial position `(h, w)`,
-    /// in ascending order.
-    #[deprecated(
-        since = "0.6.0",
-        note = "allocates a Vec per call; use the borrowed `active_channels_iter` instead"
-    )]
-    pub fn active_channels(&self, h: usize, w: usize) -> Vec<u32> {
-        self.active_channels_iter(h, w).collect()
-    }
-
     /// Active-bit iterator over the linear index range `[start, end)`.
     fn active_bits_range(&self, start: usize, end: usize) -> ActiveBits<'_> {
         let end = end.min(self.shape.len());
@@ -482,9 +472,6 @@ mod tests {
         let channels: Vec<u32> = m.active_channels_iter(0, 0).collect();
         assert_eq!(channels, vec![1, 5, 7]);
         assert!(channels.windows(2).all(|w| w[0] < w[1]));
-        #[allow(deprecated)]
-        let allocated = m.active_channels(0, 0);
-        assert_eq!(allocated, channels, "deprecated API stays in parity with the iterator");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use spikestream::{InferenceReport, Request, Scenario, TemporalEncoding, WorkloadMode};
+use spikestream::{InferenceReport, Request, Scenario, TemporalEncoding, WorkloadMode, MAX_SHARDS};
 use spikestream_serve::{
     Gateway, GatewayConfig, ResponseHandle, ServeError, SubmitOptions, BATCH_HIST_LABELS,
 };
@@ -67,7 +67,7 @@ Scenario keys (all optional except the [scenario] header):
     timing    = \"analytic\"       analytic | cycle-level
     batch     = 128               batch samples (>= 1)
     seed      = 0xC1FA            workload seed (decimal or 0x hex)
-    shards    = 1                 simulated cluster shards (>= 1)
+    shards    = 1                 simulated cluster shards (1..=4096)
     timesteps = 4                 temporal-pipeline steps (>= 1; setting this
                                   or `encoding` enables real spike propagation)
     encoding  = \"rate\"           rate | direct (temporal input coding)
@@ -148,8 +148,10 @@ fn parse_options(command: Command, args: &[String]) -> Result<Options, String> {
                 let list: Result<Vec<usize>, _> =
                     value.split(',').map(|v| v.trim().parse::<usize>()).collect();
                 let list = list.map_err(|_| format!("bad --shards value `{value}`"))?;
-                if list.is_empty() || list.contains(&0) {
-                    return Err(format!("--shards entries must be >= 1, got `{value}`"));
+                if list.is_empty() || list.iter().any(|n| !(1..=MAX_SHARDS).contains(n)) {
+                    return Err(format!(
+                        "--shards entries must be in 1..={MAX_SHARDS}, got `{value}`"
+                    ));
                 }
                 if command != Command::Bench && list.len() > 1 {
                     return Err(format!(
@@ -664,5 +666,31 @@ fn print_shard_table(report: &InferenceReport) {
             "{:>6} {:>9} {:>16.0} {:>12.3}",
             shard.shard, shard.samples, shard.busy_cycles, shard.utilization
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn shard_counts_beyond_the_fleet_bound_are_errors() {
+        let huge = (MAX_SHARDS + 1).to_string();
+        for (command, value) in [
+            (Command::Run, "3000000000".to_string()),
+            (Command::Run, huge.clone()),
+            (Command::Compare, huge.clone()),
+            (Command::Bench, format!("1,2,{huge}")),
+            (Command::Bench, "0".to_string()),
+        ] {
+            let e = parse_options(command, &args(&["tiny.toml", "--shards", &value]))
+                .err()
+                .expect("an out-of-range shard count is rejected");
+            assert!(e.contains(&format!("1..={MAX_SHARDS}")), "{value}: {e}");
+        }
     }
 }

@@ -4,16 +4,11 @@
 //! of any report: this suite replays the scenarios of the pre-redesign
 //! engine — cycle-level (`tiny`, `tiny_pool`), temporal (`tiny_temporal`)
 //! and analytic (S-VGG11 FP16/FP8, synthetic and temporal) at 1/2/4
-//! shards — and compares
-//!
-//! 1. the *legacy* entry points (`Engine::run`, `Engine::run_sequential`,
-//!    `Engine::run_sharded`, `Scenario::run`), now thin deprecated
-//!    wrappers over a one-shot session, and
-//! 2. the *serving* path (`Scenario::compile` → `Session::infer`)
-//!
-//! byte for byte against the JSON reports captured from the pre-redesign
-//! code (`tests/golden/*.json`). `tiny_izhikevich` extends the set with a
-//! two-state-variable temporal capture pinning the Izhikevich path.
+//! shards — through the serving path (`Scenario::compile` →
+//! `Session::infer`) and compares the reports byte for byte against the
+//! JSON captured from the pre-redesign code (`tests/golden/*.json`).
+//! `tiny_izhikevich` extends the set with a two-state-variable temporal
+//! capture pinning the Izhikevich path.
 //!
 //! Refreshing a golden after an *intentional* behavior change:
 //!
@@ -28,14 +23,10 @@
 //! then explain in the commit message why every byte that moved was
 //! supposed to move — these captures exist to make silent report drift
 //! impossible, so a refresh must never ride along unexplained.
-//!
-//! This file is the one sanctioned caller of the deprecated wrappers — the
-//! explicit exemption of the CI `-D deprecated` gate.
-#![allow(deprecated)]
 
 use std::path::{Path, PathBuf};
 
-use spikestream::{AnalyticBackend, CycleLevelBackend, Request, Scenario, TimingModel};
+use spikestream::{Request, Scenario, TimingModel};
 
 fn repo_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).to_path_buf()
@@ -53,17 +44,10 @@ fn scenario(name: &str) -> Scenario {
     Scenario::from_file(&repo_dir().join("examples/scenarios").join(name)).expect("scenario parses")
 }
 
-/// Serve `scenario` at `shards` through the new lifecycle.
+/// Serve `scenario` at `shards` through the serving lifecycle.
 fn serve(scenario: &Scenario, shards: usize) -> String {
     let plan = scenario.compile().expect("scenario compiles");
     plan.open_session().infer(&Request::batch(scenario.config.batch).with_shards(shards)).to_json()
-}
-
-/// Run `scenario` at `shards` through the legacy wrapper entry points.
-fn legacy(scenario: &Scenario, shards: usize) -> String {
-    let mut legacy = scenario.clone();
-    legacy.shards = shards;
-    legacy.run().to_json()
 }
 
 #[test]
@@ -72,8 +56,7 @@ fn cycle_level_and_temporal_scenarios_match_the_pre_redesign_captures() {
         let scenario = scenario(&format!("{name}.toml"));
         for shards in [1usize, 2, 4] {
             let expected = golden(&format!("{name}_shards{shards}.json"));
-            assert_eq!(serve(&scenario, shards), expected, "{name} @ {shards} shards: session");
-            assert_eq!(legacy(&scenario, shards), expected, "{name} @ {shards} shards: legacy");
+            assert_eq!(serve(&scenario, shards), expected, "{name} @ {shards} shards");
         }
     }
 }
@@ -85,76 +68,18 @@ fn analytic_scenarios_match_the_pre_redesign_captures() {
     fp16.config.batch = 8;
     assert_eq!(fp16.config.timing, TimingModel::Analytic);
     let expected = golden("svgg11_analytic_shards2.json");
-    assert_eq!(serve(&fp16, 2), expected, "svgg11 fp16: session");
-    assert_eq!(legacy(&fp16, 2), expected, "svgg11 fp16: legacy");
+    assert_eq!(serve(&fp16, 2), expected, "svgg11 fp16");
 
     // `--batch 4 --timesteps 3 --shards 2`: the temporal analytic path.
     let mut temporal = scenario("svgg11_fp16.toml");
     temporal.config.batch = 4;
     temporal.config = temporal.config.temporal_steps(3);
     let expected = golden("svgg11_analytic_t3_shards2.json");
-    assert_eq!(serve(&temporal, 2), expected, "svgg11 t3: session");
-    assert_eq!(legacy(&temporal, 2), expected, "svgg11 t3: legacy");
+    assert_eq!(serve(&temporal, 2), expected, "svgg11 t3");
 
     // `spikestream run svgg11_fp8.toml --batch 8 --shards 4 --json`
     let mut fp8 = scenario("svgg11_fp8.toml");
     fp8.config.batch = 8;
     let expected = golden("svgg11_fp8_analytic_shards4.json");
-    assert_eq!(serve(&fp8, 4), expected, "svgg11 fp8: session");
-    assert_eq!(legacy(&fp8, 4), expected, "svgg11 fp8: legacy");
-}
-
-#[test]
-fn every_legacy_engine_entry_point_is_a_faithful_session_wrapper() {
-    let scenario = scenario("tiny.toml");
-    let engine = scenario.engine();
-    let config = scenario.config;
-    let plan = engine.compile(&config);
-    let mut session = plan.open_session();
-
-    // Engine::run == parallel session over the full batch.
-    assert_eq!(
-        engine.run(&config).to_json(),
-        session.infer(&Request::batch(config.batch)).to_json()
-    );
-    // Engine::run_sequential == sequential request.
-    assert_eq!(
-        engine.run_sequential(&CycleLevelBackend, &config).to_json(),
-        session.infer(&Request::batch(config.batch).sequential()).to_json()
-    );
-    // Engine::run_sharded == sharded request.
-    assert_eq!(
-        engine.run_sharded(&CycleLevelBackend, &config, 3).to_json(),
-        session.infer(&Request::batch(config.batch).with_shards(3)).to_json()
-    );
-    // Engine::run_with_backend == explicit-backend request; the timing
-    // model named by the config is ignored in favour of the caller's
-    // backend, exactly as before.
-    let analytic = engine.run_with_backend(&AnalyticBackend, &config).to_json();
-    assert_eq!(
-        analytic,
-        session.infer_with_backend(&AnalyticBackend, &Request::batch(config.batch)).to_json()
-    );
-    // Scenario::run == compile + sharded request.
-    assert_eq!(legacy(&scenario, scenario.shards), serve(&scenario, scenario.shards));
-}
-
-#[test]
-fn legacy_wrappers_keep_tolerating_a_zero_batch() {
-    // The historical entry points clamped `batch: 0` to one sample; the
-    // strict `Compiler::compile` rejects it, but the wrappers must keep
-    // the old tolerance (bit-identical behavior, not just bit-identical
-    // numbers).
-    let scenario = scenario("tiny.toml");
-    let engine = scenario.engine();
-    let mut config = scenario.config;
-    config.batch = 0;
-    let zero = engine.run(&config);
-    config.batch = 1;
-    assert_eq!(zero.to_json(), engine.run(&config).to_json());
-
-    let mut zero_scenario = scenario.clone();
-    zero_scenario.config.batch = 0;
-    assert_eq!(zero_scenario.run().batch, 1);
-    assert_eq!(zero_scenario.run_sequential().batch, 1);
+    assert_eq!(serve(&fp8, 4), expected, "svgg11 fp8");
 }

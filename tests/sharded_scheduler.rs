@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use spikestream::{
-    AnalyticBackend, BatchScheduler, Engine, FpFormat, InferenceConfig, KernelVariant,
+    attribute_shards, Engine, FnSink, FpFormat, InferenceConfig, KernelVariant, LayerSample,
     NetworkChoice, Request, Scenario, TimingModel, WorkloadMode,
 };
 
@@ -130,25 +130,20 @@ proptest! {
 
 #[test]
 fn scheduler_attribution_is_a_pure_function_of_the_samples() {
-    // Different host-side worker/chunk choices must never change anything:
-    // neither the measurements nor the fleet attribution.
-    let engine = Engine::svgg11(2);
-    let config = svgg11_config(24);
-    let ctx = engine.sample_context(&config);
-    let layers = engine.network().len();
-    let reference = BatchScheduler::new(6).with_workers(1).with_chunk(1).run(
-        &AnalyticBackend,
-        &ctx,
-        24,
-        layers,
-    );
-    let racy = BatchScheduler::new(6).with_workers(8).with_chunk(2).run(
-        &AnalyticBackend,
-        &ctx,
-        24,
-        layers,
-    );
-    assert_eq!(racy.samples(), reference.samples());
-    assert_eq!(racy.shard_of(), reference.shard_of());
-    assert_eq!(racy.summary(), reference.summary());
+    // Host-side worker choices must never change anything: neither the
+    // measurements nor the fleet attribution, which is the pure fold
+    // `attribute_shards` over the per-sample cycle totals.
+    let plan = Engine::svgg11(2).compile(&svgg11_config(24));
+    let mut session = plan.open_session();
+    let request = Request::batch(24).with_shards(6);
+    let reference = session.infer(&request.clone().sequential());
+    let racy = session.infer(&request.clone().with_workers(8));
+    assert_eq!(racy, reference);
+
+    let mut cycles = vec![0.0; 24];
+    let mut sink = FnSink(|sample: usize, layers: &[LayerSample]| {
+        cycles[sample] = layers.iter().map(|l| l.cycles).sum();
+    });
+    session.run(&request.clone().with_workers(8), &mut sink);
+    assert_eq!(Some(attribute_shards(&cycles, 6)), reference.shards);
 }

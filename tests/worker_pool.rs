@@ -11,8 +11,7 @@
 //!   needed, growth between requests spawns only the difference, and the
 //!   calling thread always serves slot 0;
 //! * equivalence — serving at workers 1/2/4/8 is bit-identical across both
-//!   backends, and the pooled path is bit-identical to the legacy
-//!   spawn-per-request executor it replaced;
+//!   backends;
 //! * panic policy — a panicking backend propagates its payload to the
 //!   caller and leaves the pool fully serviceable for the next request;
 //! * lifecycle — dropping the session joins every pool thread.
@@ -145,19 +144,6 @@ fn pooled_serving_is_bit_identical_across_worker_counts() {
             assert_eq!(session.infer(&request).to_json(), expected, "{name} workers={workers}");
         }
     }
-}
-
-#[test]
-fn pooled_and_spawn_per_request_paths_agree() {
-    let _serial = serial();
-    let plan = svgg11_plan(48);
-    let mut pooled = plan.open_session();
-    let mut legacy = plan.open_session().with_spawn_per_request(true);
-    for workers in [2usize, 4, 8] {
-        let request = Request::batch(48).with_workers(workers);
-        assert_eq!(pooled.infer(&request), legacy.infer(&request), "workers={workers}");
-    }
-    assert_eq!(legacy.stats().pool.spawned, 0, "the baseline never touches the pool");
 }
 
 /// A backend that panics on one designated sample the first time it is
