@@ -16,13 +16,13 @@
 //!   (paused submit + resume pins the composition): one micro-batched
 //!   dispatch serves all 64.
 //!
-//! The measurable contract of dynamic micro-batching is
-//! coalesced >= 1.5x over uncoalesced: coalescing amortizes the
-//! per-dispatch wakeup/handoff cost across the whole batch, which is the
-//! win a serving front end actually controls. Coalesced vs. `direct` is
-//! expected to land near parity (the gateway adds one round trip per
-//! *batch*); `tests/gateway.rs` pins that the bytes are identical either
-//! way.
+//! There is no speedup contract between the two gateway lines. Three
+//! runs on a 2-vCPU host measured coalesced over uncoalesced at 1.30x,
+//! 0.96x and 0.73x: the per-dispatch handoff that coalescing amortizes is
+//! within this bench's run-to-run noise. Read the three lines as a
+//! profile of what the gateway adds over `direct`, not as a pass/fail
+//! gate. `tests/gateway.rs` pins that the bytes are identical either way,
+//! and `perfbench` measures gateway latency under open-loop load.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use spikestream::{
@@ -90,13 +90,13 @@ fn bench(c: &mut Criterion) {
     });
     drop(session);
 
-    let gateway = Gateway::new(GatewayConfig { max_batch: 1, linger_us: 0, queue_cap: 256 });
+    let gateway = Gateway::new(GatewayConfig { max_batch: 1, queue_cap: 256 });
     gateway.publish("svgg11", plan()).expect("publish");
     round(&gateway, false); // warm: spawn dispatcher, size arenas
     c.bench_function("gateway/uncoalesced/64x1", |b| b.iter(|| round(&gateway, false)));
     gateway.shutdown();
 
-    let gateway = Gateway::new(GatewayConfig { max_batch: REQUESTS, linger_us: 0, queue_cap: 256 });
+    let gateway = Gateway::new(GatewayConfig { max_batch: REQUESTS, queue_cap: 256 });
     gateway.publish("svgg11", plan()).expect("publish");
     round(&gateway, true); // warm: spawn dispatcher, size arenas
     c.bench_function("gateway/coalesced/64x1", |b| b.iter(|| round(&gateway, true)));

@@ -37,7 +37,6 @@
 //! # key falls back to the gateway default when omitted).
 //! [serve]
 //! max_batch = 16
-//! linger_us = 200
 //! queue_cap = 256
 //! ```
 //!
@@ -204,8 +203,6 @@ fn err(line: usize, message: impl Into<String>) -> ScenarioError {
 pub struct ServeSettings {
     /// Close a micro-batch once it holds this many samples.
     pub max_batch: Option<usize>,
-    /// Close a non-full micro-batch after this many microseconds.
-    pub linger_us: Option<u64>,
     /// Bounded per-tenant queue capacity, in requests.
     pub queue_cap: Option<usize>,
 }
@@ -346,7 +343,6 @@ impl Scenario {
                         }
                         serve.max_batch = Some(max_batch);
                     }
-                    "linger_us" => serve.linger_us = Some(parse_u64(lineno, value)?),
                     "queue_cap" => {
                         let queue_cap = parse_u64(lineno, value)? as usize;
                         if queue_cap == 0 {
@@ -558,7 +554,7 @@ const NEURON_KEYS: &[&str] =
     &["model", "alpha", "resistance", "v_reset", "v_threshold", "a", "b", "c", "d"];
 
 /// Keys of the `[serve]` table.
-const SERVE_KEYS: &[&str] = &["max_batch", "linger_us", "queue_cap"];
+const SERVE_KEYS: &[&str] = &["max_batch", "queue_cap"];
 
 /// The candidate with the smallest edit distance to `key` — what the
 /// "did you mean" half of an unknown-key error names.
@@ -899,20 +895,13 @@ shards  = 4
 
     #[test]
     fn serve_table_collects_gateway_policy() {
-        let s = Scenario::parse(
-            "[scenario]\nname = \"sv\"\n[serve]\nmax_batch = 16\nlinger_us = 50\nqueue_cap = 8\n",
-        )
-        .unwrap();
-        assert_eq!(
-            s.serve,
-            Some(ServeSettings { max_batch: Some(16), linger_us: Some(50), queue_cap: Some(8) })
-        );
+        let s =
+            Scenario::parse("[scenario]\nname = \"sv\"\n[serve]\nmax_batch = 16\nqueue_cap = 8\n")
+                .unwrap();
+        assert_eq!(s.serve, Some(ServeSettings { max_batch: Some(16), queue_cap: Some(8) }));
         // A partial table leaves the omitted knobs unset.
         let partial = Scenario::parse("[scenario]\n[serve]\nmax_batch = 4\n").unwrap();
-        assert_eq!(
-            partial.serve,
-            Some(ServeSettings { max_batch: Some(4), linger_us: None, queue_cap: None })
-        );
+        assert_eq!(partial.serve, Some(ServeSettings { max_batch: Some(4), queue_cap: None }));
         // No table at all: `None`, the gateway keeps its defaults.
         let plain = Scenario::parse("[scenario]\nname = \"p\"\n").unwrap();
         assert_eq!(plain.serve, None);
@@ -923,7 +912,8 @@ shards  = 4
         let cases = [
             ("[scenario]\n[serve]\nmax_batch = 0\n", 3, "at least 1"),
             ("[scenario]\n[serve]\nqueue_cap = 0\n", 3, "at least 1"),
-            ("[scenario]\n[serve]\nlinger_us = \"x\"\n", 3, "unsigned integer"),
+            ("[scenario]\n[serve]\nmax_batch = \"x\"\n", 3, "unsigned integer"),
+            ("[scenario]\n[serve]\nlinger_us = 200\n", 3, "unknown key `linger_us` in `[serve]`"),
         ];
         for (text, line, needle) in cases {
             let e = Scenario::parse(text).unwrap_err();

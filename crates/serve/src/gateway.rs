@@ -1,11 +1,13 @@
 //! The concurrent serving front end: [`Gateway`].
 //!
 //! One dispatcher thread per tenant owns that tenant's [`Session`] and
-//! drains a bounded submission queue, coalescing compatible waiting
-//! requests into a single dynamically micro-batched
-//! [`Session::run_gather`] call — closed on batch size or linger
-//! deadline, whichever comes first — and demultiplexing per-slot results
-//! back to each caller's [`ResponseHandle`]. Samples are independently
+//! drains a bounded submission queue. Batching is self-clocked: each time
+//! the dispatcher wakes it runs the compatible requests queued at that
+//! moment (up to `max_batch` samples) as one [`Session::run_gather`]
+//! call, and demultiplexes per-slot results back to each caller's
+//! [`ResponseHandle`]. A request reaching an idle tenant runs at once;
+//! requests arriving while a batch runs form the next batch, so batch
+//! size follows load with no timer. Samples are independently
 //! seeded by the core, so coalescing can never change a result: every
 //! per-request response is bit-identical to serving that request alone on
 //! a bare session.
@@ -26,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use spikestream::{
     attribute_shards, InferenceReport, LayerSample, Plan, Request, ResultSink, Session,
-    SessionStatsHandle,
+    SessionStatsHandle, MAX_SHARDS,
 };
 
 use crate::registry::{PlanRegistry, VersionedPlan};
@@ -43,7 +45,8 @@ pub struct SubmitOptions {
     pub timesteps: Option<usize>,
     /// Attribute this request to a simulated shard fleet, as in
     /// [`Request::shards`]; the [`ShardSummary`](spikestream::ShardSummary)
-    /// lands in [`GatewayResponse::report`].
+    /// lands in [`GatewayResponse::report`]. Submissions above
+    /// [`MAX_SHARDS`] fail with [`ServeError::Rejected`].
     pub shards: Option<usize>,
 }
 
@@ -196,7 +199,7 @@ struct Tenant {
     /// submitters and [`Gateway::publish`]/[`Gateway::resume`] signal it.
     work: Condvar,
     /// Submitters park here while the queue is at capacity; the
-    /// dispatcher signals it as it pops.
+    /// dispatcher signals it once per batch it takes off the queue.
     space: Condvar,
 }
 
@@ -343,6 +346,11 @@ impl Gateway {
     ) -> Result<ResponseHandle, ServeError> {
         if samples.is_empty() {
             return Err(ServeError::EmptyRequest);
+        }
+        if let Some(shards) = opts.shards.filter(|&shards| shards > MAX_SHARDS) {
+            return Err(ServeError::Rejected {
+                reason: format!("shards = {shards} exceeds MAX_SHARDS ({MAX_SHARDS})"),
+            });
         }
         if self.shared.closed.load(Ordering::Acquire) {
             return Err(ServeError::Shutdown);
@@ -525,11 +533,8 @@ fn serve_era(
     session: &mut Session<'_>,
 ) -> EraExit {
     let max_batch = shared.config.max_batch.max(1);
-    let linger = Duration::from_micros(shared.config.linger_us);
     loop {
-        let mut batch: Vec<Pending>;
-        let total: usize;
-        {
+        let (batch, total) = {
             let mut state = tenant.state.lock().expect("tenant state poisoned");
             loop {
                 if state.shutdown && state.queue.is_empty() {
@@ -548,51 +553,26 @@ fn serve_era(
                 state = tenant.work.wait(state).expect("tenant state poisoned");
             }
 
-            // Open the micro-batch on the queue head, then linger —
-            // coalescing the compatible FIFO prefix — until it is full,
-            // blocked by an incompatible request, or the deadline passes.
+            // Self-clocked batching: take the queue head plus the compatible
+            // FIFO prefix queued right now, and run it at once. Requests
+            // that arrive while it runs form the next batch. FIFO
+            // strictness: an incompatible request at the head closes the
+            // batch rather than being overtaken by later compatible ones.
             let head = state.queue.pop_front().expect("queue is non-empty");
             let key = head.opts.timesteps;
             let mut count = head.samples.len();
-            batch = vec![head];
-            tenant.space.notify_all();
-            let deadline = Instant::now() + linger;
-            loop {
-                let mut blocked = false;
-                while count < max_batch {
-                    match state.queue.front() {
-                        Some(next)
-                            if next.opts.timesteps == key
-                                && count + next.samples.len() <= max_batch =>
-                        {
-                            let next = state.queue.pop_front().expect("queue is non-empty");
-                            count += next.samples.len();
-                            batch.push(next);
-                            tenant.space.notify_all();
-                        }
-                        Some(_) => {
-                            // FIFO strictness: an incompatible request at
-                            // the head closes the batch rather than being
-                            // overtaken by later compatible ones.
-                            blocked = true;
-                            break;
-                        }
-                        None => break,
-                    }
-                }
-                if count >= max_batch || blocked || state.shutdown || state.paused {
+            let mut batch = vec![head];
+            while let Some(next) = state.queue.front() {
+                if next.opts.timesteps != key || count + next.samples.len() > max_batch {
                     break;
                 }
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (guard, _timed_out) =
-                    tenant.work.wait_timeout(state, deadline - now).expect("tenant state poisoned");
-                state = guard;
+                let next = state.queue.pop_front().expect("queue is non-empty");
+                count += next.samples.len();
+                batch.push(next);
             }
-            total = count;
-        }
+            tenant.space.notify_all();
+            (batch, count)
+        };
 
         // Execute outside the queue lock: submitters keep queueing while
         // the batch runs.
@@ -708,7 +688,7 @@ mod tests {
 
     #[test]
     fn pause_coalesces_and_resume_drains() {
-        let gateway = Gateway::new(GatewayConfig { max_batch: 8, linger_us: 0, queue_cap: 16 });
+        let gateway = Gateway::new(GatewayConfig { max_batch: 8, queue_cap: 16 });
         gateway.publish("svgg11", plan(8)).expect("publish");
         gateway.pause("svgg11").expect("pause");
         let handles: Vec<ResponseHandle> =

@@ -13,12 +13,13 @@
 //! - [`Gateway`] — clients on any thread call [`Gateway::submit`] and
 //!   park on the returned [`ResponseHandle`]. Requests land in a bounded
 //!   per-tenant queue ([`ServeError::Full`] / timeout backpressure); a
-//!   per-tenant dispatcher thread coalesces the compatible FIFO prefix
-//!   into one dynamically micro-batched `Session::run_gather` call,
-//!   closing the batch at `max_batch` samples or after `linger_us`
-//!   microseconds, whichever comes first. Samples are independently
-//!   seeded by the core, so a coalesced request's results are
-//!   byte-identical to running it alone on a bare session.
+//!   per-tenant dispatcher thread runs whatever compatible FIFO prefix is
+//!   queued when it wakes, up to `max_batch` samples, as one
+//!   `Session::run_gather` call. Nothing waits on a timer: a request that
+//!   reaches an idle tenant runs at once, and requests that arrive while
+//!   a batch runs form the next one, so batches grow with load. Samples
+//!   are independently seeded by the core, so a coalesced request's
+//!   results are byte-identical to running it alone on a bare session.
 //! - [`GatewayStats`] — deterministic counters (submissions, batches and
 //!   their size histogram, rejections, hot swaps, per-tenant queue
 //!   depth), all readable without contending with serving.
@@ -58,9 +59,6 @@ pub struct GatewayConfig {
     /// Close a micro-batch once it holds this many samples. A single
     /// request larger than the cap still runs, alone.
     pub max_batch: usize,
-    /// Close a non-full micro-batch this many microseconds after its
-    /// first request was picked up. `0` dispatches immediately.
-    pub linger_us: u64,
     /// Bounded per-tenant queue capacity, in requests. Submissions beyond
     /// it fail fast ([`ServeError::Full`]) or park with a timeout
     /// ([`Gateway::submit_timeout`]).
@@ -69,7 +67,7 @@ pub struct GatewayConfig {
 
 impl Default for GatewayConfig {
     fn default() -> Self {
-        GatewayConfig { max_batch: 64, linger_us: 200, queue_cap: 256 }
+        GatewayConfig { max_batch: 64, queue_cap: 256 }
     }
 }
 
@@ -80,6 +78,11 @@ pub enum ServeError {
     UnknownTenant(String),
     /// A request must name at least one sample.
     EmptyRequest,
+    /// The request's options are out of range; it was never queued.
+    Rejected {
+        /// What was wrong with the request.
+        reason: String,
+    },
     /// The tenant's bounded queue is at capacity (fail-fast submission).
     Full {
         /// Tenant whose queue was full.
@@ -104,6 +107,7 @@ impl std::fmt::Display for ServeError {
         match self {
             ServeError::UnknownTenant(name) => write!(f, "unknown tenant `{name}`"),
             ServeError::EmptyRequest => write!(f, "request names no samples"),
+            ServeError::Rejected { reason } => write!(f, "request rejected: {reason}"),
             ServeError::Full { tenant, cap } => {
                 write!(f, "tenant `{tenant}` queue is full ({cap} requests)")
             }

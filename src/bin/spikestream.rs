@@ -29,7 +29,7 @@ USAGE:
     spikestream bench <scenario.toml> [--shards N1,N2,...] [--timesteps N]
     spikestream compare <scenario.toml> [--shards N] [--timesteps N]
     spikestream serve-demo <scenario.toml> [--clients K] [--requests-per-client M]
-                           [--max-batch B] [--linger-us L] [--queue-cap C] [--json]
+                           [--max-batch B] [--queue-cap C] [--json]
     spikestream help
 
 Scenario files are a strict TOML subset; see examples/scenarios/ for
@@ -53,7 +53,6 @@ SERVE-DEMO OPTIONS (defaults come from the scenario's [serve] table):
     --clients K             Concurrent submitter threads (default 4)
     --requests-per-client M Single-sample requests per client (default 8)
     --max-batch B           Close a micro-batch at B samples
-    --linger-us L           Close a non-full micro-batch after L microseconds
     --queue-cap C           Bounded per-tenant queue capacity (the demo
                             raises it to K*M so the paced phase never blocks)
 ";
@@ -85,7 +84,6 @@ Neuron-model keys (optional [neuron_model] table; overrides every layer):
 
 Serving keys (optional [serve] table; defaults for `serve-demo`):
     max_batch   = 64              close a micro-batch at this many samples
-    linger_us   = 200             close a non-full micro-batch after this long
     queue_cap   = 256             bounded per-tenant queue capacity
 ";
 
@@ -363,7 +361,6 @@ fn parse_serve_demo_options(args: &[String]) -> Result<ServeDemoOptions, String>
     let mut clients = 4usize;
     let mut requests_per_client = 8usize;
     let mut max_batch = None;
-    let mut linger_us = None;
     let mut queue_cap = None;
     let mut json = false;
 
@@ -384,12 +381,6 @@ fn parse_serve_demo_options(args: &[String]) -> Result<ServeDemoOptions, String>
                 requests_per_client = positive(&mut it, "--requests-per-client")?
             }
             "--max-batch" => max_batch = Some(positive(&mut it, "--max-batch")?),
-            "--linger-us" => {
-                let value = it.next().ok_or("--linger-us needs a value")?;
-                let parsed: u64 =
-                    value.parse().map_err(|_| format!("bad --linger-us value `{value}`"))?;
-                linger_us = Some(parsed);
-            }
             "--queue-cap" => queue_cap = Some(positive(&mut it, "--queue-cap")?),
             "--json" => json = true,
             other if other.starts_with('-') => return Err(format!("unknown flag `{other}`")),
@@ -404,7 +395,6 @@ fn parse_serve_demo_options(args: &[String]) -> Result<ServeDemoOptions, String>
     let table = scenario.serve.unwrap_or_default();
     let config = GatewayConfig {
         max_batch: max_batch.or(table.max_batch).unwrap_or(defaults.max_batch),
-        linger_us: linger_us.or(table.linger_us).unwrap_or(defaults.linger_us),
         queue_cap: queue_cap.or(table.queue_cap).unwrap_or(defaults.queue_cap),
     };
     Ok(ServeDemoOptions { scenario, clients, requests_per_client, config, json })
@@ -506,14 +496,12 @@ fn cmd_serve_demo(args: &[String]) -> Result<(), String> {
     }
 
     println!(
-        "serve-demo `{}`: {} clients x {} requests · tenant v{} · max_batch {} · \
-         linger {} us · queue cap {}",
+        "serve-demo `{}`: {} clients x {} requests · tenant v{} · max_batch {} · queue cap {}",
         opts.scenario.name,
         opts.clients,
         opts.requests_per_client,
         version,
         config.max_batch,
-        config.linger_us,
         config.queue_cap,
     );
     println!(
@@ -692,5 +680,13 @@ mod tests {
                 .expect("an out-of-range shard count is rejected");
             assert!(e.contains(&format!("1..={MAX_SHARDS}")), "{value}: {e}");
         }
+    }
+
+    #[test]
+    fn a_removed_serve_demo_flag_is_an_unknown_flag() {
+        let e = parse_serve_demo_options(&args(&["tiny.toml", "--linger-us", "5"]))
+            .err()
+            .expect("the batching timer flag is gone");
+        assert_eq!(e, "unknown flag `--linger-us`");
     }
 }

@@ -1,6 +1,6 @@
 //! Gateway serving semantics, pinned end to end.
 //!
-//! Four contracts from the serving-gateway design, each with its own
+//! Five contracts from the serving-gateway design, each with its own
 //! suite section:
 //!
 //! 1. **Byte-identity** — a request coalesced into a shared micro-batch
@@ -8,8 +8,10 @@
 //!    [`Session`](spikestream::Session), and a full-batch gateway request
 //!    reproduces the pre-redesign golden captures (`tests/golden/`)
 //!    byte for byte.
-//! 2. **Backpressure** — the bounded per-tenant queue rejects (and
-//!    times out) deterministically when full, and drains cleanly.
+//! 2. **Backpressure and admission** — the bounded per-tenant queue
+//!    rejects (and times out) deterministically when full, and drains
+//!    cleanly; a request with out-of-range options is refused at submit
+//!    without harming its tenant.
 //! 3. **Hot swap** — publishing a new plan version under live traffic
 //!    drops nothing: in-flight batches complete on the old version,
 //!    queued and later requests run on the new one, and every response
@@ -17,6 +19,9 @@
 //! 4. **Panic containment** — a panicking batch poisons only its own
 //!    tenant; other tenants keep serving, and a fresh publish revives
 //!    the poisoned one.
+//! 5. **Self-clocked batching** — under live (unpaused) traffic a
+//!    request reaching an idle tenant runs alone at once, and requests
+//!    arriving while a batch runs form the next batch together.
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
@@ -24,7 +29,7 @@ use std::time::Duration;
 
 use spikestream::{
     Compiler, ExecutionBackend, FiringProfile, FpFormat, InferenceConfig, KernelVariant,
-    LayerSample, Network, Plan, Request, SampleContext, Scenario,
+    LayerSample, Network, Plan, Request, SampleContext, Scenario, MAX_SHARDS,
 };
 use spikestream_serve::{Gateway, GatewayConfig, ServeError, SubmitOptions};
 
@@ -47,7 +52,7 @@ fn scenario(name: &str) -> Scenario {
 /// A paced gateway: dispatch is held with `pause` while the driver
 /// queues, so batch composition is exact, not timing-dependent.
 fn paced_gateway(max_batch: usize) -> Gateway {
-    Gateway::new(GatewayConfig { max_batch, linger_us: 0, queue_cap: 256 })
+    Gateway::new(GatewayConfig { max_batch, queue_cap: 256 })
 }
 
 // ---------------------------------------------------------------------------
@@ -146,13 +151,13 @@ fn full_batch_gateway_requests_reproduce_the_golden_captures() {
 }
 
 // ---------------------------------------------------------------------------
-// 2. Backpressure
+// 2. Backpressure and admission
 // ---------------------------------------------------------------------------
 
 #[test]
 fn a_full_queue_rejects_deterministically_and_drains_cleanly() {
     let tiny = scenario("tiny.toml");
-    let gateway = Gateway::new(GatewayConfig { max_batch: 8, linger_us: 0, queue_cap: 2 });
+    let gateway = Gateway::new(GatewayConfig { max_batch: 8, queue_cap: 2 });
     gateway.publish("tiny", tiny.compile().expect("compiles")).expect("publish");
     gateway.pause("tiny").expect("pause");
 
@@ -188,29 +193,73 @@ fn a_full_queue_rejects_deterministically_and_drains_cleanly() {
     assert_eq!(stats.tenants[0].queue_depth, 0);
 }
 
+#[test]
+fn an_oversized_shard_count_is_rejected_and_the_tenant_keeps_serving() {
+    let tiny = scenario("tiny.toml");
+    let gateway = paced_gateway(8);
+    gateway.publish("tiny", tiny.compile().expect("compiles")).expect("publish");
+
+    // Folding this report would allocate a 3e9-shard fleet; the gateway
+    // refuses it at submit instead.
+    let huge = SubmitOptions::default().with_shards(3_000_000_000);
+    let Err(ServeError::Rejected { reason }) = gateway.submit_with("tiny", &[0], huge) else {
+        panic!("a shard count above MAX_SHARDS must be rejected at submit");
+    };
+    assert!(reason.contains("MAX_SHARDS"), "{reason}");
+
+    // The bound is inclusive, and the tenant serves on undisturbed.
+    let at_bound = SubmitOptions::default().with_shards(MAX_SHARDS);
+    let response = gateway.submit_with("tiny", &[0], at_bound).expect("submit").wait();
+    let report = response.expect("serve").report();
+    assert_eq!(report.shards.expect("fleet attribution").shards.len(), MAX_SHARDS);
+    let stats = gateway.stats();
+    assert_eq!((stats.submitted, stats.completed), (1, 1));
+    assert!(!stats.tenants[0].poisoned);
+}
+
 // ---------------------------------------------------------------------------
 // 3. Hot swap under load
 // ---------------------------------------------------------------------------
 
 /// Tracks how many samples have *started* evaluating, so the driver can
-/// publish a new plan while a batch is provably in flight.
+/// publish a new plan while a batch is provably in flight. While held,
+/// every started sample also parks until [`StartGate::release`].
 #[derive(Debug, Default)]
 struct StartGate {
-    started: Mutex<u64>,
+    state: Mutex<GateState>,
     changed: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct GateState {
+    started: u64,
+    held: bool,
 }
 
 impl StartGate {
     fn mark(&self) {
-        *self.started.lock().expect("gate poisoned") += 1;
+        let mut state = self.state.lock().expect("gate poisoned");
+        state.started += 1;
         self.changed.notify_all();
+        while state.held {
+            state = self.changed.wait(state).expect("gate poisoned");
+        }
     }
 
     fn wait_for(&self, count: u64) {
-        let mut started = self.started.lock().expect("gate poisoned");
-        while *started < count {
-            started = self.changed.wait(started).expect("gate poisoned");
+        let mut state = self.state.lock().expect("gate poisoned");
+        while state.started < count {
+            state = self.changed.wait(state).expect("gate poisoned");
         }
+    }
+
+    fn hold(&self) {
+        self.state.lock().expect("gate poisoned").held = true;
+    }
+
+    fn release(&self) {
+        self.state.lock().expect("gate poisoned").held = false;
+        self.changed.notify_all();
     }
 }
 
@@ -253,7 +302,7 @@ fn gated_plan(gate: &Arc<StartGate>, delay: Duration) -> Plan {
 #[test]
 fn a_hot_swap_under_live_traffic_drops_nothing_and_mixes_no_versions() {
     let gate = Arc::new(StartGate::default());
-    let gateway = Gateway::new(GatewayConfig { max_batch: 4, linger_us: 0, queue_cap: 64 });
+    let gateway = Gateway::new(GatewayConfig { max_batch: 4, queue_cap: 64 });
     gateway.publish("svgg11", gated_plan(&gate, Duration::from_millis(150))).expect("publish v1");
 
     // In-flight: the dispatcher has provably started evaluating r1.
@@ -362,4 +411,42 @@ fn a_poisoned_tenant_contains_its_panic_and_revives_on_publish() {
     let response = revived.wait().expect("revived tenant serves");
     assert_eq!(response.plan_version(), 2);
     assert!(!gateway.stats().tenants.iter().find(|t| t.name == "bad").expect("listed").poisoned);
+}
+
+// ---------------------------------------------------------------------------
+// 5. Self-clocked batching
+// ---------------------------------------------------------------------------
+
+#[test]
+fn live_traffic_runs_an_idle_tenants_request_alone_and_batches_the_arrivals_behind_it() {
+    let gate = Arc::new(StartGate::default());
+    // The default policy and no `pause`: batch composition follows the
+    // traffic alone. The gate only decides when A's evaluation may finish.
+    let gateway = Gateway::new(GatewayConfig::default());
+    gateway.publish("svgg11", gated_plan(&gate, Duration::ZERO)).expect("publish");
+
+    // A reaches an idle tenant: it dispatches at once, alone, and parks
+    // at the gate mid-evaluation.
+    gate.hold();
+    let a = gateway.submit("svgg11", &[0]).expect("submit A");
+    gate.wait_for(1);
+    // B and C arrive while A runs, so they queue together behind it.
+    let b = gateway.submit("svgg11", &[1]).expect("submit B");
+    let c = gateway.submit("svgg11", &[2]).expect("submit C");
+    gate.release();
+
+    let bare_plan = gated_plan(&gate, Duration::ZERO);
+    let mut bare = bare_plan.open_session();
+    for (k, (handle, requests)) in [(a, 1), (b, 2), (c, 2)].into_iter().enumerate() {
+        let response = handle.wait().expect("serve");
+        assert_eq!(response.batch_requests(), requests, "request {k}");
+        assert_eq!(response.batch_samples(), requests, "request {k}");
+        assert_eq!(
+            response.report().to_json(),
+            bare.infer(&Request::samples(k..k + 1)).to_json(),
+            "request {k}: a self-clocked batch must be bit-identical to a bare run"
+        );
+    }
+    let stats = gateway.stats();
+    assert_eq!((stats.batches, stats.coalesced), (2, 2), "only B and C shared a batch");
 }
