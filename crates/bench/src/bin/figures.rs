@@ -9,8 +9,10 @@
 //! ```
 //!
 //! An unknown argument, a flag without its value or a batch that is not a
-//! positive integer prints the usage and exits with status 2.
+//! positive integer of at most `MAX_SAMPLE_STEPS` prints the usage and
+//! exits with status 2.
 
+use spikestream::MAX_SAMPLE_STEPS;
 use spikestream_bench::{all_figures, paper_batch, print_figure};
 
 const USAGE: &str = "usage: figures [--fig 3a|3b|3c|4|5|headline|ablation] [--batch N]";
@@ -35,10 +37,12 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
             }
             "--batch" => {
                 let value = it.next().ok_or("`--batch` needs a value")?;
-                batch =
-                    value.parse().ok().filter(|&b| b > 0).ok_or_else(|| {
-                        format!("`--batch` takes a positive integer, not `{value}`")
-                    })?;
+                let valid = |b: &usize| (1..=MAX_SAMPLE_STEPS).contains(b);
+                batch = value.parse().ok().filter(valid).ok_or_else(|| {
+                    format!(
+                        "`--batch` takes 1..={MAX_SAMPLE_STEPS} (MAX_SAMPLE_STEPS), not `{value}`"
+                    )
+                })?;
             }
             "--help" | "-h" => return Ok(Command::Help),
             other => return Err(format!("unknown argument `{other}`")),
@@ -113,5 +117,9 @@ mod tests {
         assert!(parse(&["--batch"]).is_err());
         assert!(parse(&["--batch", "0"]).is_err());
         assert!(parse(&["--batch", "many"]).is_err());
+        let over = (MAX_SAMPLE_STEPS + 1).to_string();
+        let e = parse(&["--batch", &over]).unwrap_err();
+        assert!(e.contains("MAX_SAMPLE_STEPS"), "{e}");
+        assert!(parse(&["--batch", "1099511627776"]).is_err());
     }
 }

@@ -1,18 +1,11 @@
-//! Benchmark harness for the SpikeStream reproduction.
+//! Figure regeneration for the SpikeStream reproduction.
 //!
-//! The crate has two entry points:
-//!
-//! * the `figures` binary (`cargo run -p spikestream-bench --bin figures --release`)
-//!   prints every figure of the paper as a text table (see
-//!   [`print_figure`]);
-//! * one Criterion bench per figure (`cargo bench -p spikestream-bench`)
-//!   measures how long regenerating each figure takes and keeps the
-//!   experiment drivers honest about their runtime.
+//! The `figures` binary (`cargo run -p spikestream-bench --bin figures
+//! --release`) prints every figure of the paper as a text table (see
+//! [`print_figure`]). Timing lives in the repository benchmark
+//! (`perfbench/`), not here.
 
 use spikestream::experiments::{self, PAPER_BATCH};
-
-/// Batch size used by the Criterion benches (small enough to iterate).
-pub const BENCH_BATCH: usize = 8;
 
 /// Render one figure as a text table. `fig` accepts `3a`, `3b`, `3c`, `4`,
 /// `5a`, `5b`, `headline` or `ablation`.

@@ -22,11 +22,9 @@
 //!   used for validation.
 //!
 //! Third-party backends (accelerator models, event-driven simulators, …)
-//! implement the same trait and either bind into a plan at compile time
-//! ([`Compiler::with_backend`](crate::Compiler::with_backend)) or serve
-//! individual requests through
-//! [`Session::infer_with_backend`](crate::Session::infer_with_backend) —
-//! no engine changes either way.
+//! implement the same trait and bind into a plan at compile time
+//! ([`Compiler::with_backend`](crate::Compiler::with_backend)) — no
+//! engine changes.
 
 mod analytic;
 mod cycle;

@@ -291,10 +291,14 @@ mod tests {
             seed: 5,
             mode: WorkloadMode::Synthetic,
         };
-        let plan = engine.compile(&config);
-        let implicit = plan.run();
-        let explicit =
-            plan.open_session().infer_with_backend(&AnalyticBackend, &Request::batch(config.batch));
+        let implicit = engine.compile(&config).run();
+        let explicit = engine
+            .compiler()
+            .with_backend(Box::new(AnalyticBackend))
+            .compile(config)
+            .unwrap()
+            .open_session()
+            .infer(&Request::batch(config.batch));
         assert_eq!(implicit, explicit);
     }
 
@@ -439,9 +443,12 @@ mod tests {
         // The cycle-level backend is deterministic through the session path
         // as well.
         let again = engine
-            .compile(&cfg(KernelVariant::Baseline))
+            .compiler()
+            .with_backend(Box::new(CycleLevelBackend))
+            .compile(cfg(KernelVariant::Baseline))
+            .unwrap()
             .open_session()
-            .infer_with_backend(&CycleLevelBackend, &Request::batch(1).sequential());
+            .infer(&Request::batch(1).sequential());
         assert_eq!(base, again);
     }
 

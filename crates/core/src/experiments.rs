@@ -378,6 +378,7 @@ mod tests {
     #[test]
     fn fig4_energy_gains_and_power_levels() {
         let rows = fig4_energy(BATCH);
+        assert_eq!(rows.len(), 8, "one row per S-VGG11 layer");
         let total_base: f64 = rows.iter().map(|r| r.energy_baseline_mj).sum();
         let total_fp16: f64 = rows.iter().map(|r| r.energy_fp16_mj).sum();
         let total_fp8: f64 = rows.iter().map(|r| r.energy_fp8_mj).sum();
@@ -394,6 +395,7 @@ mod tests {
     #[test]
     fn fig5_orders_platforms_as_in_the_paper() {
         let rows = fig5_accelerators(500, BATCH);
+        assert_eq!(rows.len(), 7, "four accelerators plus our three variants");
         let get = |name: &str| rows.iter().find(|r| r.name.contains(name)).unwrap();
         let lsm = get("LSMCore");
         let odin = get("ODIN");

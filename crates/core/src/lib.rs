@@ -34,8 +34,8 @@
 //!   into an [`InferenceReport`]);
 //! * [`backend`] is the pluggable execution layer: the analytic and
 //!   cycle-level timing models are [`ExecutionBackend`] implementations,
-//!   and custom backends bind via [`Compiler::with_backend`] or serve via
-//!   [`Session::infer_with_backend`];
+//!   and custom backends bind as plan-owned values via
+//!   [`Compiler::with_backend`];
 //! * [`sharding`] is the fleet layer: a request with
 //!   [`Request::with_shards`] attributes its samples to N simulated
 //!   cluster shards with per-shard utilization/imbalance statistics in the
@@ -111,7 +111,7 @@ pub use pool::PoolStats;
 pub use report::{InferenceReport, LayerReport, ShardSummary, ShardUtilization, TimestepReport};
 pub use scenario::{NetworkChoice, Scenario, ScenarioError, ServeSettings};
 pub use session::{FnSink, Request, ResultSink, Session, SessionStats, SessionStatsHandle};
-pub use sharding::{attribute_shards, MAX_SHARDS};
+pub use sharding::{attribute_shards, MAX_SAMPLE_STEPS, MAX_SHARDS};
 
 // Re-export the vocabulary types users need to drive the engine.
 pub use neuro_accel_models::{AcceleratorResult, AcceleratorSpec};

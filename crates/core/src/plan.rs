@@ -35,6 +35,7 @@ use crate::backend::{backend_for, ExecutionBackend, LayerSample, SampleContext};
 use crate::engine::{InferenceConfig, TimingModel};
 use crate::report::InferenceReport;
 use crate::session::{Request, Session};
+use crate::sharding::MAX_SAMPLE_STEPS;
 
 /// A validation failure of [`Compiler::compile`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,6 +51,14 @@ pub enum CompileError {
     },
     /// The configured batch size is zero.
     EmptyBatch,
+    /// The configured batch × timesteps product exceeds
+    /// [`MAX_SAMPLE_STEPS`], which bounds every run's result buffer.
+    TooManySampleSteps {
+        /// Configured batch size.
+        batch: usize,
+        /// Configured timesteps per sample.
+        timesteps: usize,
+    },
     /// A layer's neuron-model parameters fail validation.
     InvalidNeuronParams {
         /// Name of the offending layer.
@@ -69,6 +78,11 @@ impl std::fmt::Display for CompileError {
                 "firing profile covers {rates} layers but network `{network}` has {layers}"
             ),
             CompileError::EmptyBatch => write!(f, "batch must be at least 1"),
+            CompileError::TooManySampleSteps { batch, timesteps } => write!(
+                f,
+                "batch × timesteps = {batch} × {timesteps} exceeds MAX_SAMPLE_STEPS \
+                 ({MAX_SAMPLE_STEPS})"
+            ),
             CompileError::InvalidNeuronParams { layer, model, message } => {
                 write!(f, "layer `{layer}` has invalid {model} parameters: {message}")
             }
@@ -157,8 +171,9 @@ impl Compiler {
     /// # Errors
     ///
     /// Returns a [`CompileError`] when the profile does not cover the
-    /// network, the batch is empty, or any layer carries invalid
-    /// neuron-model parameters.
+    /// network, the batch is empty, batch × timesteps exceeds
+    /// [`MAX_SAMPLE_STEPS`], or any layer carries invalid neuron-model
+    /// parameters.
     pub fn compile(self, config: InferenceConfig) -> Result<Plan, CompileError> {
         let Compiler { network, profile, cluster, cost, energy, backend } = self;
         if profile.len() < network.len() {
@@ -170,6 +185,12 @@ impl Compiler {
         }
         if config.batch == 0 {
             return Err(CompileError::EmptyBatch);
+        }
+        if config.batch.saturating_mul(config.timesteps()) > MAX_SAMPLE_STEPS {
+            return Err(CompileError::TooManySampleSteps {
+                batch: config.batch,
+                timesteps: config.timesteps(),
+            });
         }
         for layer in network.layers() {
             if let Err(message) = layer.neuron.validate() {
@@ -389,6 +410,28 @@ mod tests {
             ..InferenceConfig::paper(KernelVariant::SpikeStream, FpFormat::Fp16)
         };
         assert_eq!(compiler.compile(config).unwrap_err(), CompileError::EmptyBatch);
+
+        // Batch × timesteps is bounded too, without overflowing on the way.
+        let paper = InferenceConfig::paper(KernelVariant::SpikeStream, FpFormat::Fp16);
+        let cases = [
+            (MAX_SAMPLE_STEPS + 1, paper),
+            (1, paper.temporal_steps(usize::MAX)),
+            (2, paper.temporal_steps(MAX_SAMPLE_STEPS / 2 + 1)),
+        ];
+        for (batch, config) in cases {
+            let err = Compiler::new(Network::svgg11(1), FiringProfile::paper_svgg11())
+                .compile(InferenceConfig { batch, ..config })
+                .unwrap_err();
+            assert_eq!(
+                err,
+                CompileError::TooManySampleSteps { batch, timesteps: config.timesteps() }
+            );
+            assert!(err.to_string().contains("MAX_SAMPLE_STEPS (1048576)"), "{err}");
+        }
+        let at_bound = InferenceConfig { batch: 2, ..paper.temporal_steps(MAX_SAMPLE_STEPS / 2) };
+        assert!(Compiler::new(Network::svgg11(1), FiringProfile::paper_svgg11())
+            .compile(at_bound)
+            .is_ok());
     }
 
     #[test]

@@ -891,6 +891,15 @@ shards  = 4
         let e = s.compile().unwrap_err();
         assert!(e.message.contains("invalid izhikevich parameters"), "{e}");
         assert!(e.message.contains("conv1"), "{e}");
+
+        // Batch × timesteps over MAX_SAMPLE_STEPS parses, but fails at
+        // compile instead of aborting on the result-buffer allocation.
+        for key in ["batch = 1099511627776", "timesteps = 1099511627776"] {
+            let s =
+                Scenario::parse(&format!("[scenario]\nnetwork = \"tiny-cnn\"\n{key}\n")).unwrap();
+            let e = s.compile().unwrap_err();
+            assert!(e.message.contains("exceeds MAX_SAMPLE_STEPS (1048576)"), "{key}: {e}");
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::backend::{ExecutionBackend, LayerSample, WorkerArena};
+use crate::backend::{LayerSample, WorkerArena};
 use crate::plan::Plan;
 use crate::pool::{PoolStats, WorkerPool};
 use crate::report::{InferenceReport, ShardSummary};
@@ -112,7 +112,7 @@ impl Request {
 pub trait ResultSink: Send {
     /// One completed batch sample: `layers` holds one [`LayerSample`] per
     /// network layer per timestep, step-major — exactly the layout of
-    /// [`ExecutionBackend::run_sample`].
+    /// [`ExecutionBackend::run_sample`](crate::ExecutionBackend::run_sample).
     fn on_sample(&mut self, sample: usize, layers: &[LayerSample]);
 
     /// One completed sample with its *position* in the request: `slot` is
@@ -248,9 +248,8 @@ impl<'p> Session<'p> {
     }
 
     /// Total samples evaluated and arena-buffer growth events across this
-    /// session's worker arenas — the observable "no allocation on the
-    /// serving steady state" counters.
-    pub fn arena_stats(&self) -> (u64, u64) {
+    /// session's worker arenas.
+    fn arena_stats(&self) -> (u64, u64) {
         self.arenas.iter().fold((0, 0), |(r, g), a| (r + a.runs(), g + a.grows()))
     }
 
@@ -294,12 +293,6 @@ impl<'p> Session<'p> {
         self.mirror.clone()
     }
 
-    /// The mirror snapshot behind [`Session::stats_handle`]: identical to
-    /// [`Session::stats`] between requests, and never blocks.
-    pub fn stats_snapshot(&self) -> SessionStats {
-        self.mirror.snapshot()
-    }
-
     /// Store the current counters into the atomic mirror the stats
     /// handles read. Called at the end of every serving call.
     fn publish_stats(&self) {
@@ -308,12 +301,32 @@ impl<'p> Session<'p> {
 
     /// Serve `request`, streaming every completed sample into `sink`.
     pub fn run(&mut self, request: &Request, sink: &mut dyn ResultSink) {
-        self.run_with_backend(self.plan.backend(), request, sink)
+        self.serve(request, SampleIds::Range(request.samples.clone()), sink)
     }
 
     /// Serve `request` and fold the stream into an [`InferenceReport`].
     pub fn infer(&mut self, request: &Request) -> InferenceReport {
-        self.infer_with_backend(self.plan.backend(), request)
+        let config = self.plan.effective_config(request);
+        let units = self.plan.network().len() * config.timesteps();
+        let batch = request.len();
+
+        let mut flat = std::mem::take(&mut self.flat);
+        flat.clear();
+        flat.resize(batch * units, LayerSample::default());
+        let mut sink = ReportSink { units, flat: &mut flat, fleet: None };
+        self.run(request, &mut sink);
+
+        let fleet = sink.fleet.take();
+        let mut report = InferenceReport::fold_batch(
+            self.plan.network(),
+            self.plan.clock_hz(),
+            &config,
+            &flat,
+            batch,
+        );
+        report.shards = fleet;
+        self.flat = flat;
+        report
     }
 
     /// Serve an explicit — possibly non-contiguous, possibly repeating —
@@ -330,38 +343,14 @@ impl<'p> Session<'p> {
     /// through [`Session::run`] — samples are independently seeded, so
     /// batch composition can never change a result.
     pub fn run_gather(&mut self, request: &Request, samples: &[usize], sink: &mut dyn ResultSink) {
-        self.serve(self.plan.backend(), request, SampleIds::List(samples), sink)
-    }
-
-    /// [`Session::run_gather`] folded into an [`InferenceReport`] over the
-    /// listed samples (in list order) — the report a bare session would
-    /// produce for an equivalent range request.
-    pub fn infer_gather(&mut self, request: &Request, samples: &[usize]) -> InferenceReport {
-        self.fold(self.plan.backend(), request, SampleIds::List(samples))
-    }
-
-    /// [`Session::run`] with an explicit, caller-borrowed backend — the
-    /// serving path for third-party backends that are not bound into the
-    /// plan (see [`Compiler::with_backend`](crate::Compiler::with_backend)
-    /// for the owned alternative).
-    pub fn run_with_backend(
-        &mut self,
-        backend: &dyn ExecutionBackend,
-        request: &Request,
-        sink: &mut dyn ResultSink,
-    ) {
-        self.serve(backend, request, SampleIds::Range(request.samples.clone()), sink)
+        self.serve(request, SampleIds::List(samples), sink)
     }
 
     /// The one serving loop behind every entry point: evaluate the sample
-    /// at each position of `ids` and stream results into `sink`.
-    fn serve(
-        &mut self,
-        backend: &dyn ExecutionBackend,
-        request: &Request,
-        ids: SampleIds<'_>,
-        sink: &mut dyn ResultSink,
-    ) {
+    /// at each position of `ids` on the plan's backend and stream results
+    /// into `sink`.
+    fn serve(&mut self, request: &Request, ids: SampleIds<'_>, sink: &mut dyn ResultSink) {
+        let backend = self.plan.backend();
         let config = self.plan.effective_config(request);
         let batch = ids.len();
 
@@ -425,45 +414,6 @@ impl<'p> Session<'p> {
             sink.on_fleet(&attribute_shards(&self.cycles, shards));
         }
         self.publish_stats();
-    }
-
-    /// [`Session::infer`] with an explicit backend.
-    pub fn infer_with_backend(
-        &mut self,
-        backend: &dyn ExecutionBackend,
-        request: &Request,
-    ) -> InferenceReport {
-        self.fold(backend, request, SampleIds::Range(request.samples.clone()))
-    }
-
-    /// Serve `ids` and fold the stream into an [`InferenceReport`].
-    fn fold(
-        &mut self,
-        backend: &dyn ExecutionBackend,
-        request: &Request,
-        ids: SampleIds<'_>,
-    ) -> InferenceReport {
-        let config = self.plan.effective_config(request);
-        let units = self.plan.network().len() * config.timesteps();
-        let batch = ids.len();
-
-        let mut flat = std::mem::take(&mut self.flat);
-        flat.clear();
-        flat.resize(batch * units, LayerSample::default());
-        let mut sink = ReportSink { units, flat: &mut flat, fleet: None };
-        self.serve(backend, request, ids, &mut sink);
-
-        let fleet = sink.fleet.take();
-        let mut report = InferenceReport::fold_batch(
-            self.plan.network(),
-            self.plan.clock_hz(),
-            &config,
-            &flat,
-            batch,
-        );
-        report.shards = fleet;
-        self.flat = flat;
-        report
     }
 }
 
@@ -625,13 +575,13 @@ mod tests {
         let plan = plan();
         let mut session = plan.open_session();
         session.infer(&Request::batch(12));
-        let (runs_warm, grows_warm) = session.arena_stats();
-        assert_eq!(runs_warm, 12);
+        let warm = session.stats();
+        assert_eq!(warm.runs, 12);
         for _ in 0..3 {
             session.infer(&Request::batch(12));
         }
-        let (runs, grows) = session.arena_stats();
-        assert_eq!(runs, 48);
-        assert_eq!(grows, grows_warm, "steady-state requests grow no arena buffer");
+        let stats = session.stats();
+        assert_eq!(stats.runs, 48);
+        assert_eq!(stats.grows, warm.grows, "steady-state requests grow no arena buffer");
     }
 }

@@ -27,6 +27,14 @@ pub const DISPATCH_CYCLES: f64 = 2.0;
 /// the repository itself runs is under 64 shards.
 pub const MAX_SHARDS: usize = 4096;
 
+/// Largest samples × timesteps product one run may ask for. A run's result
+/// buffer holds one [`LayerSample`](crate::LayerSample) (80 bytes) per
+/// sample per timestep per layer, so this bounds it at 80 MiB per network
+/// layer (640 MiB for S-VGG11); an unchecked `timesteps = 1099511627776`
+/// from outside input would abort on allocation instead. The largest run
+/// the repository itself makes is the paper batch of 128 samples × 1 step.
+pub const MAX_SAMPLE_STEPS: usize = 1 << 20;
+
 /// The host worker-count sizing policy of the serving
 /// [`Session`](crate::Session) pool: never run more workers than there
 /// are chunks to steal (extra workers would claim nothing and pay wakeup

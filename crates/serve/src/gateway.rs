@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use spikestream::{
     attribute_shards, InferenceReport, LayerSample, Plan, Request, ResultSink, Session,
-    SessionStatsHandle, MAX_SHARDS,
+    SessionStatsHandle, MAX_SAMPLE_STEPS, MAX_SHARDS,
 };
 
 use crate::registry::{PlanRegistry, VersionedPlan};
@@ -42,6 +42,8 @@ use crate::{GatewayConfig, ServeError};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SubmitOptions {
     /// Temporal-pipeline override, as in [`Request::timesteps`].
+    /// Submissions whose sample count × effective timesteps exceeds
+    /// [`MAX_SAMPLE_STEPS`] fail with [`ServeError::Rejected`].
     pub timesteps: Option<usize>,
     /// Attribute this request to a simulated shard fleet, as in
     /// [`Request::shards`]; the [`ShardSummary`](spikestream::ShardSummary)
@@ -356,6 +358,21 @@ impl Gateway {
             return Err(ServeError::Shutdown);
         }
         let tenant = self.shared.tenant(name)?;
+        // The effective timestep count: the override, or else the count the
+        // published plan was compiled with (bounded by its own compile).
+        let timesteps = match opts.timesteps {
+            Some(timesteps) => timesteps,
+            None => self.shared.registry.get(name).map_or(1, |v| v.plan.config().timesteps()),
+        };
+        if samples.len().saturating_mul(timesteps) > MAX_SAMPLE_STEPS {
+            return Err(ServeError::Rejected {
+                reason: format!(
+                    "{} samples × {timesteps} timesteps exceeds MAX_SAMPLE_STEPS \
+                     ({MAX_SAMPLE_STEPS})",
+                    samples.len()
+                ),
+            });
+        }
         let cap = self.shared.config.queue_cap.max(1);
         let deadline = wait.map(|timeout| Instant::now() + timeout);
         let mut state = tenant.state.lock().expect("tenant state poisoned");

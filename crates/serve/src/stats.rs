@@ -3,7 +3,7 @@
 //! Counters live in relaxed atomics on the gateway's shared state, so a
 //! monitoring thread snapshots them without ever contending with
 //! submitters or dispatchers — the same discipline as
-//! [`Session::stats_snapshot`](spikestream::Session::stats_snapshot).
+//! [`Session::stats_handle`](spikestream::Session::stats_handle).
 //! Every counter is a deterministic function of the request/batch/publish
 //! history, never of wall-clock timing, so a paced driver (the
 //! `serve-demo` CLI, the CI smoke) can pin a snapshot against a golden.

@@ -266,6 +266,10 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 fn cmd_bench(args: &[String]) -> Result<(), String> {
     let opts = parse_options(Command::Bench, args)?;
     let shard_counts = opts.shards_list.unwrap_or_else(|| vec![1, 2, 4, 8]);
+    // One compiled plan and one long-lived session serve the whole sweep:
+    // only the fleet attribution changes between shard counts, so the
+    // lowering is paid exactly once.
+    let plan = opts.scenario.compile().map_err(|e| e.to_string())?;
     println!(
         "scenario `{}`: shard sweep over batch {}",
         opts.scenario.name, opts.scenario.config.batch
@@ -274,10 +278,6 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         "{:>7} {:>16} {:>10} {:>10} {:>12} {:>12}",
         "shards", "makespan [cyc]", "speedup", "imbalance", "util(min)", "util(max)"
     );
-    // One compiled plan and one long-lived session serve the whole sweep:
-    // only the fleet attribution changes between shard counts, so the
-    // lowering is paid exactly once.
-    let plan = opts.scenario.compile().map_err(|e| e.to_string())?;
     let mut session = plan.open_session();
     let mut aggregate_json: Option<String> = None;
     for &shards in &shard_counts {

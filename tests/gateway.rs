@@ -29,7 +29,7 @@ use std::time::Duration;
 
 use spikestream::{
     Compiler, ExecutionBackend, FiringProfile, FpFormat, InferenceConfig, KernelVariant,
-    LayerSample, Network, Plan, Request, SampleContext, Scenario, MAX_SHARDS,
+    LayerSample, Network, Plan, Request, SampleContext, Scenario, MAX_SAMPLE_STEPS, MAX_SHARDS,
 };
 use spikestream_serve::{Gateway, GatewayConfig, ServeError, SubmitOptions};
 
@@ -207,7 +207,19 @@ fn an_oversized_shard_count_is_rejected_and_the_tenant_keeps_serving() {
     };
     assert!(reason.contains("MAX_SHARDS"), "{reason}");
 
-    // The bound is inclusive, and the tenant serves on undisturbed.
+    // Sizing its result buffer would abort on allocation, too: samples ×
+    // timesteps is bounded, with the override or the plan's own count.
+    let long = SubmitOptions::default().with_timesteps(1 << 40);
+    let many = vec![0; MAX_SAMPLE_STEPS + 1];
+    for (samples, opts) in [(&[0][..], long), (&many[..], SubmitOptions::default())] {
+        let Err(ServeError::Rejected { reason }) = gateway.submit_with("tiny", samples, opts)
+        else {
+            panic!("samples × timesteps above MAX_SAMPLE_STEPS must be rejected at submit");
+        };
+        assert!(reason.contains("MAX_SAMPLE_STEPS"), "{reason}");
+    }
+
+    // The shard bound is inclusive, and the tenant serves on undisturbed.
     let at_bound = SubmitOptions::default().with_shards(MAX_SHARDS);
     let response = gateway.submit_with("tiny", &[0], at_bound).expect("submit").wait();
     let report = response.expect("serve").report();

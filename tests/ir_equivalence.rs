@@ -173,7 +173,7 @@ fn double_buffered_conv_overlaps_dma_with_compute() {
     // A wide conv whose weights need several scratchpad tiles: the first
     // tile is a prologue load, the remaining tiles stream in behind
     // compute. Total cycles must come in under the serial sum of compute
-    // and DMA busy time — the acceptance criterion for double buffering.
+    // and DMA busy time — the acceptance condition for double buffering.
     let program = conv_program(KernelVariant::SpikeStream, FpFormat::Fp16, 96, 64, 0.3, 5);
     let mut cl = cluster();
     execute_program(&mut cl, &program);

@@ -49,12 +49,16 @@ fn golden(name: &str) -> String {
         .to_string()
 }
 
-fn svgg11_plan(batch: usize) -> Plan {
-    Engine::svgg11(3).compile(&InferenceConfig {
+fn svgg11_config(batch: usize) -> InferenceConfig {
+    InferenceConfig {
         batch,
         seed: 0xFEED,
         ..InferenceConfig::paper(KernelVariant::SpikeStream, FpFormat::Fp16)
-    })
+    }
+}
+
+fn svgg11_plan(batch: usize) -> Plan {
+    Engine::svgg11(3).compile(&svgg11_config(batch))
 }
 
 #[test]
@@ -175,16 +179,25 @@ impl ExecutionBackend for PanicOnce {
 #[test]
 fn a_panicking_backend_propagates_and_leaves_the_pool_serviceable() {
     let _serial = serial();
-    let plan = svgg11_plan(32);
-    let mut session = plan.open_session();
-    let reference = session.infer(&Request::batch(32).with_workers(4)).to_json();
-    let spawned = session.stats().pool.spawned;
+    let reference = svgg11_plan(32).open_session().infer(&Request::batch(32).with_workers(4));
+    let reference = reference.to_json();
 
-    let backend = PanicOnce::armed(17);
-    let payload = catch_unwind(AssertUnwindSafe(|| {
-        session.infer_with_backend(&backend, &Request::batch(32).with_workers(4))
-    }))
-    .expect_err("the backend panic must reach the caller");
+    // The same configuration with the panicking backend bound into the plan.
+    let plan = Engine::svgg11(3)
+        .compiler()
+        .with_backend(Box::new(PanicOnce::armed(17)))
+        .compile(svgg11_config(32))
+        .expect("compiles");
+    let mut session = plan.open_session();
+    // Warm the pool on samples that stay clear of the fuse: chunk=4, so
+    // 16 samples at workers=4 spawn all three parked threads.
+    session.infer(&Request::samples(0..16).with_workers(4));
+    let spawned = session.stats().pool.spawned;
+    assert_eq!(spawned, 3);
+
+    let payload =
+        catch_unwind(AssertUnwindSafe(|| session.infer(&Request::batch(32).with_workers(4))))
+            .expect_err("the backend panic must reach the caller");
     let message = payload
         .downcast_ref::<String>()
         .cloned()
@@ -193,9 +206,8 @@ fn a_panicking_backend_propagates_and_leaves_the_pool_serviceable() {
     assert!(message.contains("backend exploded on sample 17"), "got: {message}");
 
     // The fuse is blown, so the same backend now serves cleanly — through
-    // the same pool threads, with results identical to the plan's backend.
-    let report =
-        session.infer_with_backend(&backend, &Request::batch(32).with_workers(4)).to_json();
+    // the same pool threads, with results identical to the analytic plan.
+    let report = session.infer(&Request::batch(32).with_workers(4)).to_json();
     assert_eq!(report, reference, "the pool serves correctly after a worker panic");
     assert_eq!(session.stats().pool.spawned, spawned, "no thread was lost or respawned");
 }
